@@ -8,8 +8,8 @@ standard experiments (permutation averaging, training sweeps, fully
 trained runs, lexicon growth and phoneme-mode comparisons).
 """
 
-from .corpus import (Corpus, CorpusError, SplitPlan, Utterance, load_corpus,
-                     permute, save_corpus, split, split_at)
+from .corpus import (Corpus, CorpusError, Utterance, load_corpus, permute,
+                     save_corpus, split_at)
 from .estimator import p_bigram, p_sigma, p_trigram, p_unigram, word_score
 from .evaluation import (BlockScores, InfeasibleBoundaryCount, LexiconAudit,
                          MismatchedUtterance, audit_lexicon, random_baseline,
@@ -26,8 +26,8 @@ __version__ = "0.1.0"
 __all__ = [
     "SENTINEL", "PhonemeClass", "PhonemeInventory", "UnknownPhoneme",
     "EmptyToken", "default_inventory", "parse_utterance", "is_vowel_bearing",
-    "Corpus", "CorpusError", "SplitPlan", "Utterance", "load_corpus",
-    "save_corpus", "permute", "split", "split_at",
+    "Corpus", "CorpusError", "Utterance", "load_corpus",
+    "save_corpus", "permute", "split_at",
     "CountTables", "PhonemeMode", "new_tables",
     "p_sigma", "p_unigram", "p_bigram", "p_trigram", "word_score",
     "LearnerConfig", "Segmentation", "segment", "process_utterance",

@@ -60,19 +60,7 @@ class Corpus:
 
     def lexicon(self) -> set[str]:
         """All distinct reference words."""
-        out: set[str] = set()
-        for u in self.utterances:
-            out.update(u.words)
-        return out
-
-
-@dataclass(frozen=True)
-class SplitPlan:
-    """Training fraction plus the seeding of an averaged experiment."""
-
-    train_fraction: float
-    seed: int = 0
-    runs: int = 1
+        return {w for u in self.utterances for w in u.words}
 
 
 def load_corpus(path, inventory: PhonemeInventory | None = None) -> Corpus:
@@ -84,14 +72,17 @@ def load_corpus(path, inventory: PhonemeInventory | None = None) -> Corpus:
     """
     if inventory is None:
         inventory = default_inventory()
+    with open(path, "rb") as handle:
+        data = handle.read()
     utterances = []
-    with open(path, encoding="ascii") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            try:
-                words = parse_utterance(line, inventory)
-            except ValueError as exc:
-                raise CorpusError(line_no, exc) from exc
-            utterances.append(Utterance.from_words(words))
+    # bytes.splitlines breaks at \n, \r and \r\n, as text mode does; each
+    # line is decoded on its own so a bad byte is reported with its line
+    for line_no, line in enumerate(data.splitlines(), start=1):
+        try:
+            words = parse_utterance(line.decode("ascii"), inventory)
+        except ValueError as exc:
+            raise CorpusError(line_no, exc) from exc
+        utterances.append(Utterance.from_words(words))
     if not utterances:
         raise CorpusError(0, "corpus file is empty")
     return Corpus(tuple(utterances))
@@ -123,9 +114,3 @@ def split_at(corpus: Corpus, n_train: int) -> tuple[Corpus, Corpus]:
     return (Corpus(corpus.utterances[:n_train]),
             Corpus(corpus.utterances[n_train:]))
 
-
-def split(corpus: Corpus, plan: SplitPlan) -> tuple[Corpus, Corpus]:
-    """Split per plan.train_fraction: floor(fraction * n) utterances train."""
-    if not 0.0 <= plan.train_fraction <= 1.0:
-        raise ValueError(f"train_fraction must be in [0, 1], got {plan.train_fraction}")
-    return split_at(corpus, int(plan.train_fraction * len(corpus.utterances)))

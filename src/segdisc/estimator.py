@@ -6,10 +6,12 @@ unseen event receives that escape mass times the estimate one order down.
 The chain ends in a phoneme spelling model that gives positive probability
 to every possible word, so every query is answerable.
 
-The probability functions return plain floats by default; passing
+The probability functions p_* return plain floats by default; passing
 exact=True switches the arithmetic to fractions.Fraction for identity
-checks.  Scoring (`word_score`) always works in negative natural log units
-and accumulates per phoneme, so long novel words cannot underflow.
+checks.  Scoring works in negative natural log units through one
+implementation of the chain, `_log_chain`, which both `word_score` and the
+boundary search's `UtteranceScorer` use; it accumulates per phoneme, so
+long novel words cannot underflow.
 """
 
 from __future__ import annotations
@@ -97,47 +99,81 @@ def p_trigram(tables: CountTables, prev2: str, prev1: str, word: str,
     return escape * base
 
 
-def _sigma_score(tables: CountTables, word: str) -> float:
+def _log_chain(tables: CountTables, symbols, depth: int = 3):
+    """The back-off chain in negative natural log units: (uni, bi, tri).
+
+    uni(w), bi(prev, w) and tri(prev2, prev1, w) are -ln of p_unigram,
+    p_bigram and p_trigram, accumulated per phoneme so that long novel
+    words cannot underflow.  Only the first `depth` of them are built and
+    returned, since a single query needs no level above its own.
+    `symbols` must hold every phoneme of every word later scored; context
+    words are only looked up, never spelled.  The table aggregates are read
+    once, so the tables must not change while the functions are in use.
+    Unigram scores are memoized per word, which lets the boundary search
+    bottom out once per substring.
+    """
+    log = math.log
     counts = tables.phonemes
     total = tables.phoneme_total
     sentinel = counts[SENTINEL]
-    score = -math.log(sentinel / (total - sentinel))
-    for ch in word:
-        score -= math.log(counts[ch] / total)
-    return score
+    sigma_head = -log(sentinel / (total - sentinel))
+    char_logs = {}
+    for ch in symbols:
+        char_logs[ch] = log(counts[ch] / total)
 
+    unigram_counts = tables.unigrams
+    denom1 = tables.n1 + tables.s1
+    log_escape1 = log(tables.n1 / denom1) if denom1 > 0 else None
+    uni_cache: dict[str, float] = {}
 
-def _unigram_score(tables: CountTables, word: str) -> float:
-    count = tables.unigrams.get(word, 0)
-    denom = tables.n1 + tables.s1
-    if count > 0:
-        return -math.log(count / denom)
-    score = _sigma_score(tables, word)
-    if denom > 0:
-        score -= math.log(tables.n1 / denom)
-    return score
+    def uni(word: str) -> float:
+        value = uni_cache.get(word)
+        if value is None:
+            count = unigram_counts.get(word, 0)
+            if count > 0:
+                value = -log(count / denom1)
+            else:
+                value = sigma_head
+                for ch in word:
+                    value -= char_logs[ch]
+                if log_escape1 is not None:
+                    value -= log_escape1
+            uni_cache[word] = value
+        return value
 
+    if depth == 1:
+        return (uni,)
+    bigram_counts = tables.bigrams
+    denom2 = tables.n2 + tables.s2
+    bi_head = -log(tables.s2 / denom2) if tables.s2 > 0 else None
+    log_escape2 = log(tables.n2 / denom2) if denom2 > 0 else None
 
-def _bigram_score(tables: CountTables, prev: str, word: str) -> float:
-    count = tables.bigrams.get((prev, word), 0)
-    denom = tables.n2 + tables.s2
-    if count > 0:
-        return -math.log(tables.s2 / denom) - math.log(count / tables.unigrams[prev])
-    score = _unigram_score(tables, word)
-    if denom > 0:
-        score -= math.log(tables.n2 / denom)
-    return score
+    def bi(prev: str, word: str) -> float:
+        count = bigram_counts.get((prev, word), 0)
+        if count > 0:
+            return bi_head - log(count / unigram_counts[prev])
+        value = uni(word)
+        if log_escape2 is not None:
+            value -= log_escape2
+        return value
 
+    if depth == 2:
+        return uni, bi
+    trigram_counts = tables.trigrams
+    denom3 = tables.n3 + tables.s3
+    tri_head = -log(tables.s3 / denom3) if tables.s3 > 0 else None
+    log_escape3 = log(tables.n3 / denom3) if denom3 > 0 else None
 
-def _trigram_score(tables: CountTables, prev2: str, prev1: str, word: str) -> float:
-    count = tables.trigrams.get((prev2, prev1, word), 0)
-    denom = tables.n3 + tables.s3
-    if count > 0:
-        return -math.log(tables.s3 / denom) - math.log(count / tables.bigrams[(prev2, prev1)])
-    score = _bigram_score(tables, prev1, word)
-    if denom > 0:
-        score -= math.log(tables.n3 / denom)
-    return score
+    def tri(prev2: str, prev1: str, word: str) -> float:
+        count = trigram_counts.get((prev2, prev1, word), 0)
+        if count > 0:
+            return tri_head - log(count / bigram_counts[(prev2, prev1)])
+        value = bi(prev1, word)
+        if log_escape3 is not None:
+            value -= log_escape3
+        return value
+
+    return uni, bi, tri
 
 
 def word_score(tables: CountTables, context, word: str, order: int) -> float:
@@ -152,28 +188,20 @@ def word_score(tables: CountTables, context, word: str, order: int) -> float:
     if order not in (1, 2, 3):
         raise ValueError(f"order must be 1, 2 or 3, got {order}")
     have = min(order - 1, len(context))
-    if have >= 2:
-        return _trigram_score(tables, context[-2], context[-1], word)
-    if have == 1:
-        return _bigram_score(tables, context[-1], word)
-    return _unigram_score(tables, word)
+    score = _log_chain(tables, word, have + 1)[have]
+    return score(*context[len(context) - have:], word)
 
 
 class UtteranceScorer:
-    """Cached word scores over the substrings of one utterance.
+    """The substrings of one utterance plus the log-domain back-off chain.
 
-    The boundary search scores the same substrings many times with
-    different contexts; this precomputes the substrings and the table
-    constants, and memoizes unigram scores so the back-off chain bottoms
-    out once per span.  Every result is bit-identical to the equivalent
-    word_score call; the tables must not change while the scorer is alive.
-
-    Positions are substring indices: uni(j, i) scores u[j:i] with no
-    context, bi(k, j, i) scores u[j:i] after u[k:j], tri(t, k, j, i)
-    scores u[j:i] after u[t:k], u[k:j].
+    words[j][i] is u[j:i] for 0 <= j < i <= len(u); the boundary search
+    scores those strings with uni(w), bi(prev, w) and tri(prev2, prev1, w)
+    from `_log_chain`, so every score is bit-identical to the equivalent
+    word_score call.  The tables must not change while the scorer is alive.
     """
 
-    __slots__ = ("words", "uni", "bi", "tri", "tri_all_novel", "pair_seen")
+    __slots__ = ("words", "uni", "bi", "tri")
 
     def __init__(self, tables: CountTables, u: str):
         n = len(u)
@@ -183,80 +211,4 @@ class UtteranceScorer:
             for i in range(j + 1, n + 1):
                 row[i] = u[j:i]
         self.words = words
-
-        log = math.log
-        counts = tables.phonemes
-        total = tables.phoneme_total
-        sentinel = counts[SENTINEL]
-        sigma_head = -log(sentinel / (total - sentinel))
-        char_logs = {ch: log(counts[ch] / total) for ch in set(u)}
-
-        unigram_counts = tables.unigrams
-        denom1 = tables.n1 + tables.s1
-        log_escape1 = log(tables.n1 / denom1) if denom1 > 0 else None
-        uni_cache: dict[int, float] = {}
-
-        def uni(j: int, i: int) -> float:
-            key = j * (n + 1) + i
-            value = uni_cache.get(key)
-            if value is None:
-                word = words[j][i]
-                count = unigram_counts.get(word, 0)
-                if count > 0:
-                    value = -log(count / denom1)
-                else:
-                    value = sigma_head
-                    for ch in word:
-                        value -= char_logs[ch]
-                    if log_escape1 is not None:
-                        value -= log_escape1
-                uni_cache[key] = value
-            return value
-
-        bigram_counts = tables.bigrams
-        denom2 = tables.n2 + tables.s2
-        bi_head = -log(tables.s2 / denom2) if tables.s2 > 0 else None
-        log_escape2 = log(tables.n2 / denom2) if denom2 > 0 else None
-
-        def bi(k: int, j: int, i: int) -> float:
-            prev = words[k][j]
-            count = bigram_counts.get((prev, words[j][i]), 0)
-            if count > 0:
-                return bi_head - log(count / unigram_counts[prev])
-            value = uni(j, i)
-            if log_escape2 is not None:
-                value -= log_escape2
-            return value
-
-        trigram_counts = tables.trigrams
-        denom3 = tables.n3 + tables.s3
-        tri_head = -log(tables.s3 / denom3) if tables.s3 > 0 else None
-        log_escape3 = log(tables.n3 / denom3) if denom3 > 0 else None
-
-        def tri(t: int, k: int, j: int, i: int) -> float:
-            count = trigram_counts.get((words[t][k], words[k][j], words[j][i]), 0)
-            if count > 0:
-                return tri_head - log(count / bigram_counts[(words[t][k], words[k][j])])
-            value = bi(k, j, i)
-            if log_escape3 is not None:
-                value -= log_escape3
-            return value
-
-        def tri_all_novel(k: int, j: int, i: int) -> float:
-            # tri(t, k, j, i) for any t, valid when no trigram ends in the
-            # pair (u[k:j], u[j:i])
-            value = bi(k, j, i)
-            if log_escape3 is not None:
-                value -= log_escape3
-            return value
-
-        def pair_seen(k: int, j: int, i: int) -> bool:
-            # a trigram x, a, b can only have been counted alongside the
-            # bigram a, b; a missing pair rules out every such trigram
-            return (words[k][j], words[j][i]) in bigram_counts
-
-        self.uni = uni
-        self.bi = bi
-        self.tri = tri
-        self.pair_seen = pair_seen
-        self.tri_all_novel = tri_all_novel
+        self.uni, self.bi, self.tri = _log_chain(tables, set(u))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .segmenter import Segmentation
 
@@ -42,12 +43,8 @@ class LexiconAudit:
 
 def word_spans(words) -> list[tuple[int, int]]:
     """(start, end) character span of each word in the joined string."""
-    spans = []
-    pos = 0
-    for w in words:
-        spans.append((pos, pos + len(w)))
-        pos += len(w)
-    return spans
+    ends = list(accumulate(len(w) for w in words))
+    return list(zip([0] + ends, ends))
 
 
 def score_utterance(predicted: Segmentation, reference) -> tuple[int, int, int]:
@@ -86,7 +83,19 @@ def score_blocks(pairs, block_size, reference_lexicon, *,
     blocks: list[BlockScores] = []
     learned: set[str] = set(initial_lexicon) if initial_lexicon else set()
     seen_reference: set[str] = set()
+    target = seen_reference if seen_reference_only else reference_lexicon
     correct = predicted = reference = in_block = 0
+
+    def close_block():
+        audit = audit_lexicon(learned, target)
+        blocks.append(BlockScores(
+            block_index=len(blocks),
+            utterances=in_block,
+            precision=100.0 * correct / predicted,
+            recall=100.0 * correct / reference,
+            lexicon_precision=100.0 * audit.correct / len(audit.learned),
+        ))
+
     for seg, ref_words in pairs:
         c, p, r = score_utterance(seg, ref_words)
         correct += c
@@ -97,26 +106,10 @@ def score_blocks(pairs, block_size, reference_lexicon, *,
         if seen_reference_only:
             seen_reference.update(ref_words)
         if block_size is not None and in_block == block_size:
-            target = seen_reference if seen_reference_only else reference_lexicon
-            audit = audit_lexicon(learned, target)
-            blocks.append(BlockScores(
-                block_index=len(blocks),
-                utterances=in_block,
-                precision=100.0 * correct / predicted,
-                recall=100.0 * correct / reference,
-                lexicon_precision=100.0 * audit.correct / len(audit.learned),
-            ))
+            close_block()
             correct = predicted = reference = in_block = 0
     if in_block:
-        target = seen_reference if seen_reference_only else reference_lexicon
-        audit = audit_lexicon(learned, target)
-        blocks.append(BlockScores(
-            block_index=len(blocks),
-            utterances=in_block,
-            precision=100.0 * correct / predicted,
-            recall=100.0 * correct / reference,
-            lexicon_precision=100.0 * audit.correct / len(audit.learned),
-        ))
+        close_block()
     return blocks
 
 

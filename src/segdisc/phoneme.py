@@ -58,13 +58,9 @@ class PhonemeInventory:
     """The fixed transcription alphabet with a class for every symbol."""
 
     def __init__(self) -> None:
-        classes: dict[str, PhonemeClass] = {}
-        for ch in CONSONANTS:
-            classes[ch] = PhonemeClass.CONSONANT
-        for ch in VOWELS:
-            classes[ch] = PhonemeClass.VOWEL
-        for ch in VOWELS_R:
-            classes[ch] = PhonemeClass.VOWEL_R
+        classes = dict.fromkeys(CONSONANTS, PhonemeClass.CONSONANT)
+        classes.update(dict.fromkeys(VOWELS, PhonemeClass.VOWEL))
+        classes.update(dict.fromkeys(VOWELS_R, PhonemeClass.VOWEL_R))
         self.symbols: tuple[str, ...] = tuple(CONSONANTS + VOWELS + VOWELS_R)
         self.classes = classes
 

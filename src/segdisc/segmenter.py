@@ -4,8 +4,12 @@
 lowest total negative log probability under the configured model order,
 by dynamic programming over prefix end positions.  For the bigram and
 trigram models the state carries the start of the last one or two words,
-since those determine every later word's conditioning context.  Utterance
-lengths are small, so the O(n^2)/O(n^3)/O(n^4) cell counts are harmless.
+since those determine every later word's conditioning context.  The cell
+counts are O(n^2)/O(n^3)/O(n^4) in the utterance length n.  That is cheap
+for child-directed utterances of about ten phonemes, but not in general: a
+100-phoneme utterance takes on the order of seconds at order 3.  Every
+model order scores words through the one log-domain back-off chain of
+`estimator.UtteranceScorer`, keyed by the substrings themselves.
 
 Ties are resolved exactly as a strict `score < best` update does when the
 unsplit candidate is examined first and split points are visited left to
@@ -17,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .estimator import UtteranceScorer, word_score
 from .tables import CountTables, PhonemeMode
@@ -42,13 +47,8 @@ class Segmentation:
         words = tuple(words)
         if not words or any(not w for w in words):
             raise ValueError("segmentation words must be non-empty")
-        phonemes = "".join(words)
-        bounds = []
-        pos = 0
-        for w in words[:-1]:
-            pos += len(w)
-            bounds.append(pos)
-        return cls(phonemes, tuple(bounds), words)
+        bounds = tuple(accumulate(len(w) for w in words[:-1]))
+        return cls("".join(words), bounds, words)
 
     @classmethod
     def from_boundaries(cls, phonemes: str, boundaries) -> "Segmentation":
@@ -103,57 +103,60 @@ def segment(tables: CountTables, u: str, cfg: LearnerConfig) -> tuple[Segmentati
     elif cfg.order == 2:
         words, score = _search_bigram(scorer, u, allowed)
     else:
-        words, score = _search_trigram(scorer, u, allowed)
+        words, score = _search_trigram(scorer, u, allowed, tables.bigrams)
     return Segmentation.from_words(words), score
 
 
 def _search_unigram(scorer, u, allowed):
     n = len(u)
     uni = scorer.uni
+    words = scorer.words
     best = [0.0] * (n + 1)
     back = [0] * (n + 1)
     for i in range(1, n + 1):
-        score = uni(0, i) if allowed is None or allowed(0, i) else _INF
+        score = uni(words[0][i]) if allowed is None or allowed(0, i) else _INF
         split = 0
         for j in range(1, i):
             if best[j] == _INF or (allowed is not None and not allowed(j, i)):
                 continue
-            cand = best[j] + uni(j, i)
+            cand = best[j] + uni(words[j][i])
             if cand < score:
                 score = cand
                 split = j
         best[i] = score
         back[i] = split
-    words = []
+    out = []
     i = n
     while i > 0:
-        words.append(u[back[i]:i])
+        out.append(words[back[i]][i])
         i = back[i]
-    words.reverse()
-    return words, best[n]
+    out.reverse()
+    return out, best[n]
 
 
 def _search_bigram(scorer, u, allowed):
     n = len(u)
     uni = scorer.uni
     bi = scorer.bi
+    words = scorer.words
     # state[j][i]: best score for u[:i] whose last word is u[j:i];
     # j == 0 is the single-word reading, scored as a first word.
     state = [[_INF] * (n + 1) for _ in range(n)]
     back = [[-1] * (n + 1) for _ in range(n)]
     for i in range(1, n + 1):
         if allowed is None or allowed(0, i):
-            state[0][i] = uni(0, i)
+            state[0][i] = uni(words[0][i])
         for j in range(1, i):
             if allowed is not None and not allowed(j, i):
                 continue
+            word = words[j][i]
             score = _INF
             split = -1
             for k in range(j):
                 prefix = state[k][j]
                 if prefix == _INF:
                     continue
-                cand = prefix + bi(k, j, i)
+                cand = prefix + bi(words[k][j], word)
                 if cand < score:
                     score = cand
                     split = k
@@ -165,21 +168,22 @@ def _search_bigram(scorer, u, allowed):
         if state[j][n] < score:
             score = state[j][n]
             last = j
-    words = []
+    out = []
     i, j = n, last
     while j > 0:
-        words.append(u[j:i])
+        out.append(words[j][i])
         i, j = j, back[j][i]
-    words.append(u[:i])
-    words.reverse()
-    return words, score
+    out.append(words[0][i])
+    out.reverse()
+    return out, score
 
 
-def _search_trigram(scorer, u, allowed):
+def _search_trigram(scorer, u, allowed, bigram_counts):
     n = len(u)
     uni = scorer.uni
     bi = scorer.bi
     tri = scorer.tri
+    words = scorer.words
     # state[(k, j, i)]: best score for u[:i] ending in words u[k:j], u[j:i].
     # k == 0 means u[k:j] is the first word (unigram + bigram scored base).
     state: dict[tuple[int, int, int], float] = {}
@@ -188,27 +192,30 @@ def _search_trigram(scorer, u, allowed):
         for j in range(1, i):
             if allowed is not None and not allowed(j, i):
                 continue
+            word = words[j][i]
             if allowed is None or allowed(0, j):
-                state[(0, j, i)] = uni(0, j) + bi(0, j, i)
+                state[(0, j, i)] = uni(words[0][j]) + bi(words[0][j], word)
                 back[(0, j, i)] = -1
             for k in range(1, j):
                 if allowed is not None and not allowed(k, j):
                     continue
+                prev1 = words[k][j]
                 score = _INF
                 split = -1
-                if scorer.pair_seen(k, j, i):
+                if (prev1, word) in bigram_counts:
                     for t in range(k):
                         prefix = state.get((t, k, j))
                         if prefix is None:
                             continue
-                        cand = prefix + tri(t, k, j, i)
+                        cand = prefix + tri(words[t][k], prev1, word)
                         if cand < score:
                             score = cand
                             split = t
                 else:
-                    # no trigram ends in this word pair, so the added score
-                    # is the same for every third-back word
-                    added = scorer.tri_all_novel(k, j, i)
+                    # a trigram x, prev1, word is only ever counted along
+                    # with the bigram prev1, word, so with that pair unseen
+                    # the added score is the same for every third-back word
+                    added = tri(words[0][k], prev1, word)
                     for t in range(k):
                         prefix = state.get((t, k, j))
                         if prefix is None:
@@ -220,7 +227,7 @@ def _search_trigram(scorer, u, allowed):
                 if split >= 0:
                     state[(k, j, i)] = score
                     back[(k, j, i)] = split
-    score = uni(0, n) if allowed is None or allowed(0, n) else _INF
+    score = uni(words[0][n]) if allowed is None or allowed(0, n) else _INF
     winner = None
     for j in range(1, n):
         for k in range(j):
@@ -231,16 +238,16 @@ def _search_trigram(scorer, u, allowed):
     if winner is None:
         return [u], score
     k, j = winner
-    words = [u[j:n]]
+    out = [words[j][n]]
     i = n
     while True:
-        words.append(u[k:j])
+        out.append(words[k][j])
         t = back[(k, j, i)]
         if t < 0:
             break
         k, j, i = t, k, j
-    words.reverse()
-    return words, score
+    out.reverse()
+    return out, score
 
 
 def process_utterance(tables: CountTables, u: str, cfg: LearnerConfig) -> Segmentation:

@@ -1,7 +1,7 @@
 import pytest
 
-from segdisc import (Corpus, CorpusError, SplitPlan, Utterance, load_corpus,
-                     permute, save_corpus, split, split_at)
+from segdisc import (Corpus, CorpusError, Utterance, load_corpus, permute,
+                     save_corpus, split_at)
 
 
 def test_load_sample_corpus_fixture(sample_corpus):
@@ -45,6 +45,22 @@ def test_load_rejects_empty_lines(tmp_path):
     assert err.value.line_no == 2
 
 
+def test_load_reports_line_of_non_ascii_byte(tmp_path):
+    path = tmp_path / "latin.txt"
+    path.write_bytes(b"tu\nmi D\xc3\xa6z\n")
+    with pytest.raises(CorpusError) as err:
+        load_corpus(path)
+    assert err.value.line_no == 2
+    assert "can't decode byte 0xc3 in position 4" in str(err.value)
+
+
+def test_load_accepts_crlf_and_cr_line_ends(tmp_path):
+    path = tmp_path / "dos.txt"
+    path.write_bytes(b"hQ sIli\r\ntu\rmi\r\n")
+    corpus = load_corpus(path)
+    assert [u.words for u in corpus] == [("hQ", "sIli"), ("tu",), ("mi",)]
+
+
 def test_load_rejects_empty_file(tmp_path):
     path = tmp_path / "empty.txt"
     path.write_text("")
@@ -77,20 +93,14 @@ def test_permute_single_utterance_is_identity():
 
 
 def test_split_fraction_zero(sample_corpus):
-    train, test = split(sample_corpus, SplitPlan(0.0))
+    train, test = split_at(sample_corpus, 0)
     assert len(train) == 0
     assert test == sample_corpus
 
 
-def test_split_half(sample_corpus):
-    train, test = split(sample_corpus, SplitPlan(0.5))
-    assert len(train) == 10 and len(test) == 10
-    assert train.utterances + test.utterances == sample_corpus.utterances
-
-
 def test_split_doubled_corpus_fully_trained_protocol(sample_corpus):
     doubled = Corpus(sample_corpus.utterances + sample_corpus.utterances)
-    train, test = split(doubled, SplitPlan(1.0 / 2.0))
+    train, test = split_at(doubled, len(sample_corpus))
     assert train == sample_corpus
     assert test == sample_corpus
 

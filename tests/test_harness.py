@@ -302,14 +302,37 @@ def test_cli_invalid_config_exits_1(sample_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_cli_eval_with_nothing_left_to_test_exits_1(sample_path, capsys):
+    assert main(["eval", "--corpus", str(sample_path), "--train-frac", "1.0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no utterance left to test after training on 20 of 20" in captured.err
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+def test_cli_bad_thread_count_exits_1(sample_path, monkeypatch, capsys, value):
+    monkeypatch.setenv("SEGDISC_THREADS", value)
+    assert main(["permute-average", "--corpus", str(sample_path), "--runs", "2"]) == 1
+    assert (f"segdisc: error: SEGDISC_THREADS must be a positive integer, got {value!r}"
+            in capsys.readouterr().err)
+
+
+def test_cli_non_ascii_corpus_exits_1_with_line(tmp_path, capsys):
+    path = tmp_path / "latin.txt"
+    path.write_bytes(b"tu\nmi\nD\xc3\xa6z\n")
+    assert main(["segment", "--corpus", str(path)]) == 1
+    assert "segdisc: error: line 3: 'ascii' codec can't decode byte 0xc3" in capsys.readouterr().err
+
+
 def test_cli_internal_assertion_exits_2(monkeypatch, capsys):
     import segdisc.harness as harness
 
     def boom(spec):
         raise RuntimeError("diverged")
 
-    monkeypatch.setitem(harness._HANDLERS, "scenario-damn-british",
-                        lambda spec: boom(spec))
+    # main looks the run function up when the command runs, so a
+    # replacement on the module is what it calls
+    monkeypatch.setattr(harness, "run_damn_british", boom)
     assert main(["scenario-damn-british"]) == 2
     assert "internal check failed" in capsys.readouterr().err
 

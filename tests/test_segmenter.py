@@ -266,3 +266,29 @@ def test_fixture_learn_loop_populates_lexicon(sample_corpus):
         process_utterance(t, utterance.raw, cfg)
     assert t.n1 >= 1
     assert t.s1 >= len(sample_corpus)  # at least one word inferred per utterance
+
+
+# Exact ties: the winning and the rival reading add the same float terms
+# in another order (x + y == y + x), so only the tie rule separates them.
+# It keeps the first candidate reached: at each end position the earliest
+# split point, that is the longest last word.
+@pytest.mark.parametrize("commits,u,order,expected,rival", [
+    ([("ab",), ("ba",)], "aba", 1, ("a", "ba"), ("ab", "a")),
+    ([("bb",)], "bbb", 1, ("b", "bb"), ("bb", "b")),
+    ([("bb",)], "bbb", 2, ("b", "bb"), ("bb", "b")),
+    ([("bb",)], "bbbbbbb", 2, ("b", "bb", "bb", "bb"), ("bb", "bb", "b", "bb")),
+    ([("bb",)], "bbb", 3, ("b", "bb"), ("bb", "b")),
+    ([("bb",)], "bbbbbbb", 3, ("b", "bb", "bb", "bb"), ("bb", "b", "bb", "bb")),
+    ([("a", "ab", "b"), ("ba",)], "bbababb", 3,
+     ("b", "b", "ab", "ab", "b"), ("b", "ba", "b", "ab", "b")),
+])
+def test_exact_ties_follow_the_tie_rule(commits, u, order, expected, rival):
+    t = new_tables()
+    for words in commits:
+        t.commit(words)
+    seg, score = segment(t, u, LearnerConfig(order=order))
+    assert seg.words == expected
+    tied = 0.0
+    for i, w in enumerate(rival):
+        tied += word_score(t, rival[:i], w, order)
+    assert tied == score
