@@ -99,16 +99,15 @@ def p_trigram(tables: CountTables, prev2: str, prev1: str, word: str,
     return escape * base
 
 
-def _log_chain(tables: CountTables, symbols, depth: int = 3):
+def _log_chain(tables: CountTables, symbols):
     """The back-off chain in negative natural log units: (uni, bi, tri).
 
     uni(w), bi(prev, w) and tri(prev2, prev1, w) are -ln of p_unigram,
     p_bigram and p_trigram, accumulated per phoneme so that long novel
-    words cannot underflow.  Only the first `depth` of them are built and
-    returned, since a single query needs no level above its own.
-    `symbols` must hold every phoneme of every word later scored; context
-    words are only looked up, never spelled.  The table aggregates are read
-    once, so the tables must not change while the functions are in use.
+    words cannot underflow.  `symbols` must hold every phoneme of every
+    word later scored; context words are only looked up, never spelled.
+    The table aggregates are read once, so the tables must not change while
+    the functions are in use.
     Unigram scores are memoized per word, which lets the boundary search
     bottom out once per substring.
     """
@@ -141,8 +140,6 @@ def _log_chain(tables: CountTables, symbols, depth: int = 3):
             uni_cache[word] = value
         return value
 
-    if depth == 1:
-        return (uni,)
     bigram_counts = tables.bigrams
     denom2 = tables.n2 + tables.s2
     bi_head = -log(tables.s2 / denom2) if tables.s2 > 0 else None
@@ -157,8 +154,6 @@ def _log_chain(tables: CountTables, symbols, depth: int = 3):
             value -= log_escape2
         return value
 
-    if depth == 2:
-        return uni, bi
     trigram_counts = tables.trigrams
     denom3 = tables.n3 + tables.s3
     tri_head = -log(tables.s3 / denom3) if tables.s3 > 0 else None
@@ -188,8 +183,10 @@ def word_score(tables: CountTables, context, word: str, order: int) -> float:
     if order not in (1, 2, 3):
         raise ValueError(f"order must be 1, 2 or 3, got {order}")
     have = min(order - 1, len(context))
-    score = _log_chain(tables, word, have + 1)[have]
-    return score(*context[len(context) - have:], word)
+    chain = tables.score_cache
+    if chain is None:
+        chain = tables.score_cache = _log_chain(tables, tables.phonemes)
+    return chain[have](*context[len(context) - have:], word)
 
 
 class UtteranceScorer:

@@ -2,19 +2,35 @@
 
 `segment` finds the segmentation of an unsegmented phoneme string with the
 lowest total negative log probability under the configured model order,
-by dynamic programming over prefix end positions.  For the bigram and
-trigram models the state carries the start of the last one or two words,
-since those determine every later word's conditioning context.  The cell
-counts are O(n^2)/O(n^3)/O(n^4) in the utterance length n.  That is cheap
-for child-directed utterances of about ten phonemes, but not in general: a
-100-phoneme utterance takes on the order of seconds at order 3.  Every
-model order scores words through the one log-domain back-off chain of
+by dynamic programming over prefix end positions.  Every model order
+scores words through the one log-domain back-off chain of
 `estimator.UtteranceScorer`, keyed by the substrings themselves.
+
+Under the bigram and trigram models a word's score depends on the words
+before it only through lexicon words: `commit` counts every token, so a
+history whose last word is outside the lexicon starts no seen bigram or
+trigram, and after it every next word w adds the same score, the chain's
+bi("", w) or tri("", "", w).  The searches therefore keep one shared state
+per position for all such histories, holding only their best score, and
+score the lexicon histories one by one (back-off state minimisation, as in
+Allauzen, Mohri and Roark, ACL 2003).  Float rounding is monotone, so
+min(x) + c is bit-identical to min(x + c), and every state score equals the
+one a dense search over all histories computes.  The search visits O(n^2)
+end-position pairs at every order, each in about O(1 + L) at orders 2 and
+3, where n is the utterance length and L the number of lexicon words
+ending at a position (at order 3 a lexicon history also loops over the
+lexicon words before it when it forms a seen bigram with the next word);
+the dense searches took O(n^3) and O(n^4).
 
 Ties are resolved exactly as a strict `score < best` update does when the
 unsplit candidate is examined first and split points are visited left to
 right: at equal score the candidate keeping the whole remaining span as
-one word survives.
+one word survives.  The order-2 and order-3 searches store no back-pointers.
+Once the best score is known, they rescan only the cells of the winning
+path, over every candidate the dense search compares there, and take the
+first candidate that reaches the cell's score: the one a strict `<` scan
+keeps.  That holds for rounding near-ties as well, where two different
+prefixes plus the same word score round to the same float.
 """
 
 from __future__ import annotations
@@ -101,9 +117,10 @@ def segment(tables: CountTables, u: str, cfg: LearnerConfig) -> tuple[Segmentati
     if cfg.order == 1:
         words, score = _search_unigram(scorer, u, allowed)
     elif cfg.order == 2:
-        words, score = _search_bigram(scorer, u, allowed)
+        words, score = _search_bigram(scorer, u, allowed, tables.unigrams)
     else:
-        words, score = _search_trigram(scorer, u, allowed, tables.bigrams)
+        words, score = _search_trigram(scorer, u, allowed, tables.unigrams,
+                                       tables.bigrams)
     return Segmentation.from_words(words), score
 
 
@@ -134,7 +151,7 @@ def _search_unigram(scorer, u, allowed):
     return out, best[n]
 
 
-def _search_bigram(scorer, u, allowed):
+def _search_bigram(scorer, u, allowed, lexicon):
     n = len(u)
     uni = scorer.uni
     bi = scorer.bi
@@ -142,7 +159,10 @@ def _search_bigram(scorer, u, allowed):
     # state[j][i]: best score for u[:i] whose last word is u[j:i];
     # j == 0 is the single-word reading, scored as a first word.
     state = [[_INF] * (n + 1) for _ in range(n)]
-    back = [[-1] * (n + 1) for _ in range(n)]
+    # lexical[j]: the k whose u[k:j] is a lexicon word; novel[j]: the best
+    # state[k][j] over the other k, which all score the next word alike.
+    lexical = [[] for _ in range(n + 1)]
+    novel = [_INF] * (n + 1)
     for i in range(1, n + 1):
         if allowed is None or allowed(0, i):
             state[0][i] = uni(words[0][i])
@@ -150,101 +170,124 @@ def _search_bigram(scorer, u, allowed):
             if allowed is not None and not allowed(j, i):
                 continue
             word = words[j][i]
-            score = _INF
-            split = -1
-            for k in range(j):
-                prefix = state[k][j]
-                if prefix == _INF:
-                    continue
-                cand = prefix + bi(words[k][j], word)
+            score = novel[j] + bi("", word)
+            for k in lexical[j]:
+                cand = state[k][j] + bi(words[k][j], word)
                 if cand < score:
                     score = cand
-                    split = k
             state[j][i] = score
-            back[j][i] = split
-    score = state[0][n]
-    last = 0
-    for j in range(1, n):
-        if state[j][n] < score:
-            score = state[j][n]
-            last = j
+        for k in range(i):
+            if words[k][i] in lexicon:
+                lexical[i].append(k)
+            elif state[k][i] < novel[i]:
+                novel[i] = state[k][i]
+    last_words = [state[j][n] for j in range(n)]
+    score = min(last_words)
+    j = last_words.index(score)
     out = []
-    i, j = n, last
+    i = n
     while j > 0:
-        out.append(words[j][i])
-        i, j = j, back[j][i]
+        word = words[j][i]
+        out.append(word)
+        # the dense scan's choice: the first k that reaches the cell's score
+        target = state[j][i]
+        k = 0
+        while state[k][j] + bi(words[k][j], word) != target:
+            k += 1
+        i, j = j, k
     out.append(words[0][i])
     out.reverse()
     return out, score
 
 
-def _search_trigram(scorer, u, allowed, bigram_counts):
+def _search_trigram(scorer, u, allowed, lexicon, bigram_counts):
     n = len(u)
     uni = scorer.uni
     bi = scorer.bi
     tri = scorer.tri
     words = scorer.words
-    # state[(k, j, i)]: best score for u[:i] ending in words u[k:j], u[j:i].
-    # k == 0 means u[k:j] is the first word (unigram + bigram scored base).
-    state: dict[tuple[int, int, int], float] = {}
-    back: dict[tuple[int, int, int], int] = {}
+    # Pair (j, i) stands for the readings of u[:i] in two or more words
+    # whose last word is u[j:i].  best[j][i] is the best of them; lex[j][i]
+    # maps each k whose u[k:j] is a lexicon word to the best reading with
+    # u[k:j] as the word before; rest[j][i] is the best over the other k,
+    # whose next word is scored alike.  lexical[j] lists the k >= 1 with
+    # u[k:j] a lexicon word and pair (k, j) feasible; novel[j] is the best
+    # pair (k, j), k >= 1, whose last word u[k:j] is outside the lexicon,
+    # since after it every next word w adds the same tri("", "", w).
+    best = [[_INF] * (n + 1) for _ in range(n)]
+    rest = [[_INF] * (n + 1) for _ in range(n)]
+    lex = [[None] * (n + 1) for _ in range(n)]
+    lexical = [[] for _ in range(n + 1)]
+    novel = [_INF] * (n + 1)
+    # firsts[j]: score of u[:j] as the first word
+    firsts = [_INF] + [uni(words[0][j]) if allowed is None or allowed(0, j) else _INF
+                       for j in range(1, n + 1)]
     for i in range(1, n + 1):
         for j in range(1, i):
             if allowed is not None and not allowed(j, i):
                 continue
             word = words[j][i]
-            if allowed is None or allowed(0, j):
-                state[(0, j, i)] = uni(words[0][j]) + bi(words[0][j], word)
-                back[(0, j, i)] = -1
-            for k in range(1, j):
-                if allowed is not None and not allowed(k, j):
-                    continue
+            added = tri("", "", word)
+            others = novel[j] + added
+            scores = {}
+            opening = firsts[j] + bi(words[0][j], word)
+            if words[0][j] in lexicon:
+                scores[0] = top = opening
+            else:
+                others = top = min(others, opening)
+            for k in lexical[j]:
                 prev1 = words[k][j]
-                score = _INF
-                split = -1
                 if (prev1, word) in bigram_counts:
-                    for t in range(k):
-                        prefix = state.get((t, k, j))
-                        if prefix is None:
-                            continue
+                    score = rest[k][j] + tri("", prev1, word)
+                    for t, prefix in lex[k][j].items():
                         cand = prefix + tri(words[t][k], prev1, word)
                         if cand < score:
                             score = cand
-                            split = t
                 else:
                     # a trigram x, prev1, word is only ever counted along
                     # with the bigram prev1, word, so with that pair unseen
                     # the added score is the same for every third-back word
-                    added = tri(words[0][k], prev1, word)
-                    for t in range(k):
-                        prefix = state.get((t, k, j))
-                        if prefix is None:
-                            continue
-                        cand = prefix + added
-                        if cand < score:
-                            score = cand
-                            split = t
-                if split >= 0:
-                    state[(k, j, i)] = score
-                    back[(k, j, i)] = split
-    score = uni(words[0][n]) if allowed is None or allowed(0, n) else _INF
-    winner = None
-    for j in range(1, n):
-        for k in range(j):
-            cand = state.get((k, j, n))
-            if cand is not None and cand < score:
-                score = cand
-                winner = (k, j)
-    if winner is None:
+                    score = best[k][j] + added
+                scores[k] = score
+                if score < top:
+                    top = score
+            best[j][i] = min(top, others)
+            rest[j][i] = others
+            lex[j][i] = scores
+        for j in range(1, i):
+            if words[j][i] not in lexicon:
+                if best[j][i] < novel[i]:
+                    novel[i] = best[j][i]
+            elif best[j][i] < _INF:
+                lexical[i].append(j)
+
+    def cell(k, j, i):
+        """The dense search's score for u[:i] ending in words u[k:j], u[j:i]."""
+        if words[k][j] in lexicon:
+            return lex[j][i].get(k, _INF)
+        if k == 0:
+            return firsts[j] + bi(words[0][j], words[j][i])
+        return best[k][j] + tri("", "", words[j][i])
+
+    # the unsplit reading is examined first, then pairs (j, n) and their k
+    # in increasing order; the first to reach the best score wins
+    score = min([firsts[n]] + [best[j][n] for j in range(1, n)])
+    if score == firsts[n]:
         return [u], score
-    k, j = winner
+    j = next(j for j in range(1, n) if best[j][n] == score)
+    k = next(k for k in range(j) if cell(k, j, n) == score)
     out = [words[j][n]]
     i = n
     while True:
         out.append(words[k][j])
-        t = back[(k, j, i)]
-        if t < 0:
+        if k == 0:
             break
+        target = cell(k, j, i)
+        prev1 = words[k][j]
+        word = words[j][i]
+        t = 0
+        while cell(t, k, j) + tri(words[t][k], prev1, word) != target:
+            t += 1
         k, j, i = t, k, j
     out.reverse()
     return out, score

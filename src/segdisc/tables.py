@@ -35,11 +35,14 @@ class CountTables:
     """Unigram/bigram/trigram/phoneme counts with cached aggregates.
 
     An instance is owned by a single learning run; nothing here is safe
-    for concurrent mutation.
+    for concurrent mutation.  `score_cache` holds the back-off chain that
+    `estimator.word_score` builds for the current counts; `commit` clears
+    it.
     """
 
     __slots__ = ("inventory", "unigrams", "bigrams", "trigrams", "phonemes",
-                 "phoneme_total", "n1", "n2", "n3", "s1", "s2", "s3")
+                 "phoneme_total", "n1", "n2", "n3", "s1", "s2", "s3",
+                 "score_cache")
 
     def __init__(self, inventory: PhonemeInventory | None = None):
         if inventory is None:
@@ -53,17 +56,22 @@ class CountTables:
         self.phoneme_total = len(self.phonemes)
         self.n1 = self.n2 = self.n3 = 0
         self.s1 = self.s2 = self.s3 = 0
+        self.score_cache = None
 
     def commit(self, words, mode: PhonemeMode = PhonemeMode.LEXICON) -> None:
         """Learn one utterance's words.
 
         Every token bumps its unigram count; adjacent pairs and triples
         bump bigram and trigram counts.  N-grams never span utterance
-        boundaries.  Phoneme counts move according to `mode`.
+        boundaries.  Phoneme counts move according to `mode`.  Words must
+        be non-empty, which also keeps "" out of the lexicon.
         """
         words = tuple(words)
         if not words:
             raise ValueError("cannot commit an empty segmentation")
+        if "" in words:
+            raise ValueError("cannot commit an empty word")
+        self.score_cache = None
         unigrams = self.unigrams
         novel = []
         for w in words:

@@ -184,6 +184,20 @@ def test_word_score_utterance_initial_falls_back():
     assert word_score(t, ("a",), "b", 3) == word_score(t, ("a",), "b", 2)
 
 
+def test_word_score_follows_commits():
+    # word_score keeps one chain per table state; every commit must retire it
+    t = new_tables()
+    for words in (["ab"], ["ab", "a"], ["a", "b", "ab"], ["ab", "a", "b"]):
+        word_score(t, ("ab", "a"), "b", 3)
+        t.commit(words)
+        assert word_score(t, (), "b", 1) == pytest.approx(
+            -math.log(p_unigram(t, "b")), rel=1e-12)
+        assert word_score(t, ("a",), "b", 2) == pytest.approx(
+            -math.log(p_bigram(t, "a", "b")), rel=1e-12)
+        assert word_score(t, ("ab", "a"), "b", 3) == pytest.approx(
+            -math.log(p_trigram(t, "ab", "a", "b")), rel=1e-12)
+
+
 def test_word_score_rejects_bad_order():
     t = new_tables()
     with pytest.raises(ValueError):

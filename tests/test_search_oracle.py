@@ -1,0 +1,114 @@
+"""The production order-2 and order-3 searches against the dense oracle.
+
+`dense_search` keeps the dense searches that visit every cell and store a
+back-pointer per cell.  The production searches must return the same words
+and the same score bits on every input: same words means the same tie
+rule, rounding near-ties included, and same bits means the same sums.
+"""
+
+import random
+from unittest import mock
+
+import pytest
+
+import dense_search
+from segdisc import LearnerConfig, PhonemeMode, new_tables, segment, word_score
+from segdisc import segmenter
+
+POOL = ["a", "b", "ab", "ba", "aab", "bb", "aba", "I", "bI", "tIb", "Ita"]
+SYMBOLS = "abIt"
+
+
+def dense_segment(tables, u, cfg):
+    """`segment` with the dense searches substituted for the production ones."""
+    def bigram(scorer, u, allowed, lexicon):
+        return dense_search._search_bigram(scorer, u, allowed)
+
+    def trigram(scorer, u, allowed, lexicon, bigram_counts):
+        return dense_search._search_trigram(scorer, u, allowed, bigram_counts)
+
+    with mock.patch.object(segmenter, "_search_bigram", bigram), \
+            mock.patch.object(segmenter, "_search_trigram", trigram):
+        return segment(tables, u, cfg)
+
+
+def assert_same_as_oracle(tables, u, cfg):
+    seg, score = segment(tables, u, cfg)
+    ref, ref_score = dense_segment(tables, u, cfg)
+    assert (seg.words, score.hex()) == (ref.words, ref_score.hex()), (u, cfg)
+
+
+def random_tables(rng, mode):
+    t = new_tables()
+    for _ in range(rng.randint(0, 10)):
+        t.commit(rng.choices(POOL, k=rng.randint(1, 5)), mode)
+    return t
+
+
+@pytest.mark.parametrize("mode", list(PhonemeMode))
+@pytest.mark.parametrize("order", [2, 3])
+def test_random_states_match_dense_search(order, mode):
+    rng = random.Random(f"{order}-{mode.value}")
+    for _ in range(300):
+        t = random_tables(rng, mode)
+        u = "".join(rng.choices(SYMBOLS, k=rng.randint(1, 14)))
+        for require_vowel in (False, True):
+            cfg = LearnerConfig(order=order, phoneme_mode=mode,
+                                require_vowel=require_vowel)
+            assert_same_as_oracle(t, u, cfg)
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_long_utterances_over_a_dense_lexicon_match_dense_search(order):
+    # after these commits nearly every substring of up to three phonemes
+    # is a lexicon word, so nearly every history is scored on its own
+    rng = random.Random(order)
+    t = new_tables()
+    for _ in range(40):
+        t.commit(rng.choices(POOL, k=rng.randint(1, 6)))
+    for n in (30, 45, 60):
+        u = "".join(rng.choices("ab", k=n))
+        for require_vowel in (False, True):
+            assert_same_as_oracle(t, u, LearnerConfig(order=order,
+                                                      require_vowel=require_vowel))
+
+
+def reading_score(tables, words, order, end=None):
+    """Score of a reading, or of its words up to phoneme position `end`."""
+    total = 0.0
+    position = 0
+    for i, w in enumerate(words):
+        if position == end:
+            break
+        total += word_score(tables, words[:i], w, order)
+        position += len(w)
+    return total
+
+
+# Rounding near-ties: the two readings agree from phoneme `end` on, their
+# prefixes up to `end` differ in the last bits, and adding the next word's
+# score rounds both sums to the same float.  The dense search keeps the
+# first candidate reached, the one with the earlier split point; taking the
+# smaller prefix, or scoring the shared state of histories outside the
+# lexicon before the lexicon histories, would pick the rival.
+@pytest.mark.parametrize("commits,mode,u,order,end,expected,rival", [
+    ([("a", "ab", "bb", "ab", "a"), ("a", "bb")], PhonemeMode.SPEECH,
+     "bbba", 2, 3, ("b", "bb", "a"), ("bb", "b", "a")),
+    ([("ab", "aab", "b"), ("b",), ("b", "a", "ab", "ba"),
+      ("aba", "a", "ba", "aba"), ("ab", "b", "ba")], PhonemeMode.UNIFORM,
+     "bababab", 3, 5, ("b", "ab", "ab", "ab"), ("ba", "b", "ab", "ab")),
+])
+def test_rounding_near_ties_keep_the_dense_choice(commits, mode, u, order, end,
+                                                  expected, rival):
+    t = new_tables()
+    for words in commits:
+        t.commit(words, mode)
+    prefix = reading_score(t, expected, order, end)
+    rival_prefix = reading_score(t, rival, order, end)
+    assert prefix != rival_prefix
+    assert abs(prefix - rival_prefix) < 1e-14
+    cfg = LearnerConfig(order=order, phoneme_mode=mode)
+    seg, score = segment(t, u, cfg)
+    assert reading_score(t, expected, order) == reading_score(t, rival, order) == score
+    assert dense_segment(t, u, cfg)[0].words == expected
+    assert seg.words == expected

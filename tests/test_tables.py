@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from segdisc import SENTINEL, PhonemeMode, default_inventory, new_tables
+from segdisc import (SENTINEL, LearnerConfig, PhonemeMode, default_inventory,
+                     new_tables, train_utterance)
 
 EVENT_SPACE = 51  # 50 phonemes plus the sentinel
 
@@ -95,6 +96,13 @@ def test_commit_rejects_empty():
     t = new_tables()
     with pytest.raises(ValueError):
         t.commit([])
+    # "" must stay outside the lexicon: the search scores a history outside
+    # the lexicon as the history ""
+    with pytest.raises(ValueError, match="empty word"):
+        t.commit(["", "ab"])
+    with pytest.raises(ValueError, match="empty word"):
+        train_utterance(t, ["", "a"], LearnerConfig(order=2))
+    assert t.stats() == (0, 0, 0, 0, 0, 0) and t.unigrams == {}
 
 
 def test_reference_corpus_commit_totals(sample_corpus):
