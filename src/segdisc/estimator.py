@@ -100,16 +100,24 @@ def p_trigram(tables: CountTables, prev2: str, prev1: str, word: str,
 
 
 def _log_chain(tables: CountTables, symbols):
-    """The back-off chain in negative natural log units: (uni, bi, tri).
+    """The back-off chain in negative natural log units.
 
-    uni(w), bi(prev, w) and tri(prev2, prev1, w) are -ln of p_unigram,
-    p_bigram and p_trigram, accumulated per phoneme so that long novel
-    words cannot underflow.  `symbols` must hold every phoneme of every
-    word later scored; context words are only looked up, never spelled.
-    The table aggregates are read once, so the tables must not change while
-    the functions are in use.
-    Unigram scores are memoized per word, which lets the boundary search
-    bottom out once per substring.
+    Returns (uni, bi, tri, substrings).  uni(w), bi(prev, w) and
+    tri(prev2, prev1, w) are -ln of p_unigram, p_bigram and p_trigram,
+    accumulated per phoneme so that long novel words cannot underflow.
+    `symbols` must hold every phoneme of every word later scored; context
+    words are only looked up, never spelled.  The table aggregates are read
+    once, so the tables must not change while the functions are in use.
+    Unigram scores are memoized per word.
+
+    A novel word's spelling score grows by one phoneme term per phoneme, so
+    one loop from a start position spells every substring that starts
+    there, each from the one a phoneme shorter.  uni spells a word with that
+    loop, and substrings(u) runs it once per start position of u: it returns
+    the matrix words[j][i] = u[j:i] and memoizes uni of every novel
+    substring, in O(n^2) phoneme steps for n = len(u) where spelling each
+    substring alone would take O(n^3).  Both perform the same subtractions
+    in the same order, so the scores are bit-identical.
     """
     log = math.log
     counts = tables.phonemes
@@ -122,8 +130,16 @@ def _log_chain(tables: CountTables, symbols):
 
     unigram_counts = tables.unigrams
     denom1 = tables.n1 + tables.s1
-    log_escape1 = log(tables.n1 / denom1) if denom1 > 0 else None
+    # with nothing observed there is no escape term, and x - 0.0 == x
+    log_escape1 = log(tables.n1 / denom1) if denom1 > 0 else 0.0
     uni_cache: dict[str, float] = {}
+
+    def spell(text: str, start: int):
+        """uni's novel-word score of text[start:i] for i = start+1, start+2, ..."""
+        value = sigma_head
+        for ch in text[start:]:
+            value -= char_logs[ch]
+            yield value - log_escape1
 
     def uni(word: str) -> float:
         value = uni_cache.get(word)
@@ -132,13 +148,20 @@ def _log_chain(tables: CountTables, symbols):
             if count > 0:
                 value = -log(count / denom1)
             else:
-                value = sigma_head
-                for ch in word:
-                    value -= char_logs[ch]
-                if log_escape1 is not None:
-                    value -= log_escape1
+                *_, value = spell(word, 0)
             uni_cache[word] = value
         return value
+
+    def substrings(u: str) -> list[list[str]]:
+        n = len(u)
+        words = [[""] * (n + 1) for _ in range(n + 1)]
+        for j in range(n):
+            row = words[j]
+            for i, value in enumerate(spell(u, j), j + 1):
+                row[i] = word = u[j:i]
+                if word not in unigram_counts:
+                    uni_cache[word] = value
+        return words
 
     bigram_counts = tables.bigrams
     denom2 = tables.n2 + tables.s2
@@ -168,7 +191,7 @@ def _log_chain(tables: CountTables, symbols):
             value -= log_escape3
         return value
 
-    return uni, bi, tri
+    return uni, bi, tri, substrings
 
 
 def word_score(tables: CountTables, context, word: str, order: int) -> float:
@@ -178,15 +201,25 @@ def word_score(tables: CountTables, context, word: str, order: int) -> float:
     the last order-1 are used.  At the start of an utterance fewer may be
     available and the estimate falls to the matching lower order: the first
     word is scored as a unigram, the second word of a trigram model as a
-    bigram.  The result is always finite.
+    bigram.  The result is always finite.  The empty word is rejected,
+    since the spelling model gives it no mass, and so is a word to be
+    spelled that holds a symbol outside the inventory, the end-of-word
+    sentinel included (UnknownPhoneme).
     """
     if order not in (1, 2, 3):
         raise ValueError(f"order must be 1, 2 or 3, got {order}")
+    if not word:
+        raise ValueError("cannot score an empty word")
     have = min(order - 1, len(context))
     chain = tables.score_cache
     if chain is None:
-        chain = tables.score_cache = _log_chain(tables, tables.phonemes)
-    return chain[have](*context[len(context) - have:], word)
+        chain = tables.score_cache = _log_chain(tables, tables.inventory.symbols)
+    try:
+        return chain[have](*context[len(context) - have:], word)
+    except KeyError:
+        # the chain can spell inventory phonemes only
+        tables.inventory.check(word)
+        raise
 
 
 class UtteranceScorer:
@@ -195,17 +228,14 @@ class UtteranceScorer:
     words[j][i] is u[j:i] for 0 <= j < i <= len(u); the boundary search
     scores those strings with uni(w), bi(prev, w) and tri(prev2, prev1, w)
     from `_log_chain`, so every score is bit-identical to the equivalent
-    word_score call.  The tables must not change while the scorer is alive.
+    word_score call.  Building the scorer spells every novel substring in
+    one pass per start position, O(n^2) phoneme steps in all, after which
+    uni on a substring, also inside bi and tri, is a lookup.  The tables
+    must not change while the scorer is alive.
     """
 
     __slots__ = ("words", "uni", "bi", "tri")
 
     def __init__(self, tables: CountTables, u: str):
-        n = len(u)
-        words = [[""] * (n + 1) for _ in range(n + 1)]
-        for j in range(n):
-            row = words[j]
-            for i in range(j + 1, n + 1):
-                row[i] = u[j:i]
-        self.words = words
-        self.uni, self.bi, self.tri = _log_chain(tables, set(u))
+        self.uni, self.bi, self.tri, substrings = _log_chain(tables, set(u))
+        self.words = substrings(u)

@@ -70,6 +70,14 @@ class PhonemeInventory:
     def __len__(self) -> int:
         return len(self.symbols)
 
+    def check(self, text: str, offset: int = 0) -> None:
+        """Raise UnknownPhoneme for the first symbol of `text` outside the
+        alphabet, the end-of-word sentinel included; positions count from
+        `offset`."""
+        if not self.classes.keys() >= set(text):
+            position = next(p for p, ch in enumerate(text) if ch not in self.classes)
+            raise UnknownPhoneme(text[position], offset + position)
+
     def phoneme_class(self, symbol: str) -> PhonemeClass:
         return self.classes[symbol]
 
@@ -102,9 +110,7 @@ def parse_utterance(line: str, inventory: PhonemeInventory | None = None) -> lis
     for token in line.split(" "):
         if not token:
             raise EmptyToken(pos)
-        for offset, ch in enumerate(token):
-            if ch not in inventory:
-                raise UnknownPhoneme(ch, pos + offset)
+        inventory.check(token, pos)
         words.append(token)
         pos += len(token) + 1
     return words

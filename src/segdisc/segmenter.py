@@ -20,7 +20,11 @@ end-position pairs at every order, each in about O(1 + L) at orders 2 and
 3, where n is the utterance length and L the number of lexicon words
 ending at a position (at order 3 a lexicon history also loops over the
 lexicon words before it when it forms a seen bigram with the next word);
-the dense searches took O(n^3) and O(n^4).
+the dense searches took O(n^3) and O(n^4).  Before the search,
+`UtteranceScorer` spells all ~n^2/2 substrings in one pass per start
+position, each from the one a phoneme shorter, so the word scores cost
+O(n^2) phoneme steps in all rather than O(n^3) when each substring was
+spelled on its own.
 
 Ties are resolved exactly as a strict `score < best` update does when the
 unsplit candidate is examined first and split points are visited left to
@@ -98,9 +102,11 @@ def segment(tables: CountTables, u: str, cfg: LearnerConfig) -> tuple[Segmentati
     The tables are only read.  With require_vowel set, words without a
     vowel are excluded from consideration; if the whole utterance has no
     vowel it is returned as a single word so the search stays feasible.
+    A symbol outside the phoneme inventory raises UnknownPhoneme.
     """
     if not u:
         raise ValueError("cannot segment an empty utterance")
+    tables.inventory.check(u)
     allowed = None
     if cfg.require_vowel:
         is_vowel = tables.inventory.is_vowel

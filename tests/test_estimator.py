@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from segdisc import (PhonemeMode, default_inventory, new_tables, p_bigram,
-                     p_sigma, p_trigram, p_unigram, word_score)
+from segdisc import (SENTINEL, PhonemeMode, UnknownPhoneme, default_inventory,
+                     new_tables, p_bigram, p_sigma, p_trigram, p_unigram,
+                     word_score)
+from segdisc.estimator import UtteranceScorer
 
 F = Fraction
 EVENTS = 51  # 50 phonemes plus the sentinel
@@ -204,6 +206,29 @@ def test_word_score_rejects_bad_order():
         word_score(t, (), "a", 4)
 
 
+def test_word_score_rejects_empty_word():
+    # the spelling model normalizes over non-empty strings: "" has no mass
+    t = new_tables()
+    for order in (1, 2, 3):
+        with pytest.raises(ValueError, match="empty word"):
+            word_score(t, (), "", order)
+    t.commit(["ab", "a"])
+    with pytest.raises(ValueError, match="empty word"):
+        word_score(t, ("ab", "a"), "", 3)
+
+
+@pytest.mark.parametrize("word,symbol,position", [
+    ("abé", "é", 2), ("a" + SENTINEL, SENTINEL, 1), (SENTINEL, SENTINEL, 0)])
+def test_word_score_rejects_symbols_outside_inventory(word, symbol, position):
+    t = new_tables()
+    t.commit(["ab", "a"])
+    for order in (1, 2, 3):
+        with pytest.raises(UnknownPhoneme) as info:
+            word_score(t, ("ab", "a"), word, order)
+        assert (info.value.char, info.value.position) == (symbol, position)
+        assert f"{symbol!r} at position {position}" in str(info.value)
+
+
 def test_word_score_finite_for_random_states():
     rng = random.Random(31)
     symbols = default_inventory().symbols
@@ -227,3 +252,72 @@ def test_word_score_long_novel_word_does_not_underflow():
     assert math.isfinite(score)
     # -ln p_sigma = ln 50 + 500 ln 51 under uniform pseudo-counts
     assert score == pytest.approx(math.log(50) + 500 * math.log(51), rel=1e-12)
+
+
+# --- the scorer's spelling pass ---------------------------------------------
+
+def spelled_alone(tables, word):
+    """-ln p_unigram of `word` from its own counts, one phoneme at a time."""
+    denom = tables.n1 + tables.s1
+    count = tables.unigrams.get(word, 0)
+    if count > 0:
+        return -math.log(count / denom)
+    counts = tables.phonemes
+    total = tables.phoneme_total
+    sentinel = counts[SENTINEL]
+    value = -math.log(sentinel / (total - sentinel))
+    for ch in word:
+        value -= math.log(counts[ch] / total)
+    if denom > 0:
+        value -= math.log(tables.n1 / denom)
+    return value
+
+
+def assert_pass_is_bit_identical(tables, u):
+    """The scorer's unigram score of every substring of `u`, by float.hex,
+    equals word_score's and the word spelled on its own."""
+    scorer = UtteranceScorer(tables, u)
+    for j in range(len(u)):
+        for i in range(j + 1, len(u) + 1):
+            word = u[j:i]
+            assert scorer.words[j][i] == word
+            got = scorer.uni(word).hex()
+            assert got == word_score(tables, (), word, 1).hex(), (u, j, i)
+            assert got == spelled_alone(tables, word).hex(), (u, j, i)
+
+
+@pytest.mark.parametrize("mode", list(PhonemeMode))
+def test_spelling_pass_random_states(mode):
+    rng = random.Random(f"spelling-{mode.value}")
+    pool = ["a", "b", "ab", "ba", "aab", "bI", "tIb", "Ita", "kEt"]
+    for _ in range(60):
+        t = new_tables()
+        for _ in range(rng.randint(0, 12)):
+            t.commit(rng.choices(pool, k=rng.randint(1, 5)), mode)
+        u = "".join(rng.choices("abItkE", k=rng.randint(1, 24)))
+        assert_pass_is_bit_identical(t, u)
+
+
+def test_spelling_pass_empty_tables():
+    # nothing observed: no escape term, the spelling model alone
+    assert_pass_is_bit_identical(new_tables(), "D&mbrItIS")
+
+
+def test_spelling_pass_long_novel_utterance():
+    rng = random.Random(200)
+    symbols = default_inventory().symbols
+    t = new_tables()
+    for _ in range(30):
+        t.commit(["".join(rng.choices(symbols, k=rng.randint(1, 5)))], PhonemeMode.SPEECH)
+    u = "".join(rng.choices(symbols, k=200))
+    # nearly every substring is novel: no lexicon word of 3+ phonemes occurs
+    assert not any(w in u for w in t.unigrams if len(w) > 2)
+    assert_pass_is_bit_identical(t, u)
+
+
+def test_spelling_pass_repeated_substrings():
+    t = new_tables()
+    t.commit(["ab", "ba", "ab"])
+    t.commit(["abab"], PhonemeMode.SPEECH)
+    assert_pass_is_bit_identical(t, "ab" * 20)
+    assert_pass_is_bit_identical(t, "aabaabbab" * 3)

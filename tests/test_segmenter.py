@@ -3,9 +3,9 @@ import random
 
 import pytest
 
-from segdisc import (LearnerConfig, PhonemeMode, Segmentation,
-                     is_vowel_bearing, new_tables, process_utterance, segment,
-                     train_utterance, word_score)
+from segdisc import (SENTINEL, LearnerConfig, PhonemeMode, Segmentation,
+                     UnknownPhoneme, is_vowel_bearing, new_tables,
+                     process_utterance, segment, train_utterance, word_score)
 
 
 def all_segmentations(u):
@@ -158,6 +158,24 @@ def test_segment_does_not_touch_tables():
 def test_empty_utterance_rejected():
     with pytest.raises(ValueError):
         segment(new_tables(), "", LearnerConfig(order=1))
+
+
+@pytest.mark.parametrize("u,symbol,position", [
+    ("abé", "é", 2),                 # outside the alphabet
+    ("a" + SENTINEL, SENTINEL, 1),   # the spelling model's end-of-word marker
+    ("bd" + SENTINEL, SENTINEL, 2),  # no vowel: would stay one word
+])
+def test_segment_rejects_symbols_outside_inventory(u, symbol, position):
+    trained = new_tables()
+    trained.commit(["ab", "a", "bd"])
+    for tables in (new_tables(), trained):
+        for order in (1, 2, 3):
+            for require_vowel in (False, True):
+                cfg = LearnerConfig(order=order, require_vowel=require_vowel)
+                with pytest.raises(UnknownPhoneme) as info:
+                    segment(tables, u, cfg)
+                assert (info.value.char, info.value.position) == (symbol, position)
+                assert f"{symbol!r} at position {position}" in str(info.value)
 
 
 def test_bigram_context_bias_splits_fused_word():
