@@ -102,7 +102,7 @@ def p_trigram(tables: CountTables, prev2: str, prev1: str, word: str,
 def _log_chain(tables: CountTables, symbols):
     """The back-off chain in negative natural log units.
 
-    Returns (uni, bi, tri, substrings).  uni(w), bi(prev, w) and
+    Returns (uni, bi, tri, substrings, escapes).  uni(w), bi(prev, w) and
     tri(prev2, prev1, w) are -ln of p_unigram, p_bigram and p_trigram,
     accumulated per phoneme so that long novel words cannot underflow.
     `symbols` must hold every phoneme of every word later scored; context
@@ -110,14 +110,18 @@ def _log_chain(tables: CountTables, symbols):
     once, so the tables must not change while the functions are in use.
     Unigram scores are memoized per word.
 
+    escapes = (e2, e3) are the logs of the bigram and trigram escape masses,
+    0.0 while an order has seen nothing.  "" is never committed, so for
+    every w, bi("", w) == uni(w) - e2 and tri("", "", w) == bi("", w) - e3.
+
     A novel word's spelling score grows by one phoneme term per phoneme, so
     one loop from a start position spells every substring that starts
     there, each from the one a phoneme shorter.  uni spells a word with that
     loop, and substrings(u) runs it once per start position of u: it returns
-    the matrix words[j][i] = u[j:i] and memoizes uni of every novel
-    substring, in O(n^2) phoneme steps for n = len(u) where spelling each
-    substring alone would take O(n^3).  Both perform the same subtractions
-    in the same order, so the scores are bit-identical.
+    words[j][i] = u[j:i] and costs[j][i] = uni(u[j:i]) and memoizes uni of
+    every novel substring, in O(n^2) phoneme steps for n = len(u) where
+    spelling each substring alone would take O(n^3).  Both perform the same
+    subtractions in the same order, so the scores are bit-identical.
     """
     log = math.log
     counts = tables.phonemes
@@ -152,46 +156,45 @@ def _log_chain(tables: CountTables, symbols):
             uni_cache[word] = value
         return value
 
-    def substrings(u: str) -> list[list[str]]:
+    def substrings(u: str) -> tuple[list[list[str]], list[list[float]]]:
         n = len(u)
         words = [[""] * (n + 1) for _ in range(n + 1)]
+        costs = [[0.0] * (n + 1) for _ in range(n + 1)]
         for j in range(n):
             row = words[j]
+            cost_row = costs[j]
             for i, value in enumerate(spell(u, j), j + 1):
                 row[i] = word = u[j:i]
-                if word not in unigram_counts:
+                if word in unigram_counts:
+                    value = uni(word)
+                else:
                     uni_cache[word] = value
-        return words
+                cost_row[i] = value
+        return words, costs
 
     bigram_counts = tables.bigrams
     denom2 = tables.n2 + tables.s2
     bi_head = -log(tables.s2 / denom2) if tables.s2 > 0 else None
-    log_escape2 = log(tables.n2 / denom2) if denom2 > 0 else None
+    log_escape2 = log(tables.n2 / denom2) if denom2 > 0 else 0.0
 
     def bi(prev: str, word: str) -> float:
         count = bigram_counts.get((prev, word), 0)
         if count > 0:
             return bi_head - log(count / unigram_counts[prev])
-        value = uni(word)
-        if log_escape2 is not None:
-            value -= log_escape2
-        return value
+        return uni(word) - log_escape2
 
     trigram_counts = tables.trigrams
     denom3 = tables.n3 + tables.s3
     tri_head = -log(tables.s3 / denom3) if tables.s3 > 0 else None
-    log_escape3 = log(tables.n3 / denom3) if denom3 > 0 else None
+    log_escape3 = log(tables.n3 / denom3) if denom3 > 0 else 0.0
 
     def tri(prev2: str, prev1: str, word: str) -> float:
         count = trigram_counts.get((prev2, prev1, word), 0)
         if count > 0:
             return tri_head - log(count / bigram_counts[(prev2, prev1)])
-        value = bi(prev1, word)
-        if log_escape3 is not None:
-            value -= log_escape3
-        return value
+        return bi(prev1, word) - log_escape3
 
-    return uni, bi, tri, substrings
+    return uni, bi, tri, substrings, (log_escape2, log_escape3)
 
 
 def word_score(tables: CountTables, context, word: str, order: int) -> float:
@@ -225,17 +228,17 @@ def word_score(tables: CountTables, context, word: str, order: int) -> float:
 class UtteranceScorer:
     """The substrings of one utterance plus the log-domain back-off chain.
 
-    words[j][i] is u[j:i] for 0 <= j < i <= len(u); the boundary search
-    scores those strings with uni(w), bi(prev, w) and tri(prev2, prev1, w)
-    from `_log_chain`, so every score is bit-identical to the equivalent
-    word_score call.  Building the scorer spells every novel substring in
-    one pass per start position, O(n^2) phoneme steps in all, after which
-    uni on a substring, also inside bi and tri, is a lookup.  The tables
-    must not change while the scorer is alive.
+    words[j][i] is u[j:i] and costs[j][i] is uni(u[j:i]) for 0 <= j < i <=
+    len(u); the boundary search reads those costs, and scores the strings
+    with bi and tri from `_log_chain` and its `escapes`, so every score is
+    bit-identical to the equivalent word_score call.  Building the scorer
+    spells every novel substring in one pass per start position, O(n^2)
+    phoneme steps in all, after which uni on a substring, also inside bi and
+    tri, is a lookup.  The tables must not change while the scorer is alive.
     """
 
-    __slots__ = ("words", "uni", "bi", "tri")
+    __slots__ = ("words", "costs", "escapes", "uni", "bi", "tri")
 
     def __init__(self, tables: CountTables, u: str):
-        self.uni, self.bi, self.tri, substrings = _log_chain(tables, set(u))
-        self.words = substrings(u)
+        self.uni, self.bi, self.tri, substrings, self.escapes = _log_chain(tables, set(u))
+        self.words, self.costs = substrings(u)

@@ -4,27 +4,29 @@
 lowest total negative log probability under the configured model order,
 by dynamic programming over prefix end positions.  Every model order
 scores words through the one log-domain back-off chain of
-`estimator.UtteranceScorer`, keyed by the substrings themselves.
+`estimator.UtteranceScorer`: each substring's unigram cost is read from its
+cost matrix, and the chain itself is called only for lexicon words.
 
 Under the bigram and trigram models a word's score depends on the words
-before it only through lexicon words: `commit` counts every token, so a
-history whose last word is outside the lexicon starts no seen bigram or
-trigram, and after it every next word w adds the same score, the chain's
-bi("", w) or tri("", "", w).  The searches therefore keep one shared state
-per position for all such histories, holding only their best score, and
-score the lexicon histories one by one (back-off state minimisation, as in
-Allauzen, Mohri and Roark, ACL 2003).  Float rounding is monotone, so
-min(x) + c is bit-identical to min(x + c), and every state score equals the
-one a dense search over all histories computes.  The search visits O(n^2)
-end-position pairs at every order, each in about O(1 + L) at orders 2 and
-3, where n is the utterance length and L the number of lexicon words
-ending at a position (at order 3 a lexicon history also loops over the
-lexicon words before it when it forms a seen bigram with the next word);
-the dense searches took O(n^3) and O(n^4).  Before the search,
-`UtteranceScorer` spells all ~n^2/2 substrings in one pass per start
-position, each from the one a phoneme shorter, so the word scores cost
-O(n^2) phoneme steps in all rather than O(n^3) when each substring was
-spelled on its own.
+around it only through lexicon words: `commit` counts every token, so only
+lexicon words occur in a seen bigram or trigram.  After a history whose
+last word is outside the lexicon, every next word w adds the same score,
+bi("", w) or tri("", "", w), so the searches keep one shared state per
+position for all such histories and score the lexicon histories one by one
+(back-off state minimisation, as in Allauzen, Mohri and Roark, ACL 2003).
+Likewise a word outside the lexicon adds the same score after every
+history, bi("", w), or tri("", "", w) after two or more words, so its cell
+is one addition to the best reading ending where it starts.  Float
+rounding is monotone, so min(x) + c is bit-identical to min(x + c), and
+every score equals the one a dense search over all histories computes.
+
+The search visits O(n^2) cells (pairs of end positions) for an utterance
+of n phonemes, where the dense searches took O(n^3) and O(n^4).  A cell
+costs O(1) unless its word is a lexicon word; then, at orders 2 and 3, it
+costs O(1 + L) for the L lexicon words ending where it starts (at order 3
+a lexicon history also loops over the lexicon words before it when it
+forms a seen bigram with the word).  `UtteranceScorer` spells all substrings
+beforehand in O(n^2) phoneme steps and stores their unigram costs.
 
 Ties are resolved exactly as a strict `score < best` update does when the
 unsplit candidate is examined first and split points are visited left to
@@ -132,17 +134,17 @@ def segment(tables: CountTables, u: str, cfg: LearnerConfig) -> tuple[Segmentati
 
 def _search_unigram(scorer, u, allowed):
     n = len(u)
-    uni = scorer.uni
     words = scorer.words
+    costs = scorer.costs
     best = [0.0] * (n + 1)
     back = [0] * (n + 1)
     for i in range(1, n + 1):
-        score = uni(words[0][i]) if allowed is None or allowed(0, i) else _INF
+        score = costs[0][i] if allowed is None or allowed(0, i) else _INF
         split = 0
         for j in range(1, i):
             if best[j] == _INF or (allowed is not None and not allowed(j, i)):
                 continue
-            cand = best[j] + uni(words[j][i])
+            cand = best[j] + costs[j][i]
             if cand < score:
                 score = cand
                 split = j
@@ -159,34 +161,47 @@ def _search_unigram(scorer, u, allowed):
 
 def _search_bigram(scorer, u, allowed, lexicon):
     n = len(u)
-    uni = scorer.uni
     bi = scorer.bi
     words = scorer.words
+    costs = scorer.costs
+    escape2 = scorer.escapes[0]
     # state[j][i]: best score for u[:i] whose last word is u[j:i];
     # j == 0 is the single-word reading, scored as a first word.
     state = [[_INF] * (n + 1) for _ in range(n)]
     # lexical[j]: the k whose u[k:j] is a lexicon word; novel[j]: the best
-    # state[k][j] over the other k, which all score the next word alike.
+    # state[k][j] over the other k, which all score the next word alike;
+    # ending[j]: the best state[k][j] over every k.
     lexical = [[] for _ in range(n + 1)]
     novel = [_INF] * (n + 1)
+    ending = [_INF] * (n + 1)
     for i in range(1, n + 1):
         if allowed is None or allowed(0, i):
-            state[0][i] = uni(words[0][i])
+            state[0][i] = costs[0][i]
         for j in range(1, i):
             if allowed is not None and not allowed(j, i):
                 continue
             word = words[j][i]
-            score = novel[j] + bi("", word)
+            base = costs[j][i] - escape2  # bi("", word)
+            if word not in lexicon:
+                state[j][i] = ending[j] + base
+                continue
+            score = novel[j] + base
             for k in lexical[j]:
                 cand = state[k][j] + bi(words[k][j], word)
                 if cand < score:
                     score = cand
             state[j][i] = score
+        shared = top = _INF
         for k in range(i):
+            score = state[k][i]
             if words[k][i] in lexicon:
                 lexical[i].append(k)
-            elif state[k][i] < novel[i]:
-                novel[i] = state[k][i]
+            elif score < shared:
+                shared = score
+            if score < top:
+                top = score
+        novel[i] = shared
+        ending[i] = top
     last_words = [state[j][n] for j in range(n)]
     score = min(last_words)
     j = last_words.index(score)
@@ -208,39 +223,51 @@ def _search_bigram(scorer, u, allowed, lexicon):
 
 def _search_trigram(scorer, u, allowed, lexicon, bigram_counts):
     n = len(u)
-    uni = scorer.uni
     bi = scorer.bi
     tri = scorer.tri
     words = scorer.words
+    costs = scorer.costs
+    escape2, escape3 = scorer.escapes
     # Pair (j, i) stands for the readings of u[:i] in two or more words
-    # whose last word is u[j:i].  best[j][i] is the best of them; lex[j][i]
-    # maps each k whose u[k:j] is a lexicon word to the best reading with
-    # u[k:j] as the word before; rest[j][i] is the best over the other k,
-    # whose next word is scored alike.  lexical[j] lists the k >= 1 with
-    # u[k:j] a lexicon word and pair (k, j) feasible; novel[j] is the best
-    # pair (k, j), k >= 1, whose last word u[k:j] is outside the lexicon,
-    # since after it every next word w adds the same tri("", "", w).
+    # whose last word is u[j:i].  best[j][i] is the best of them.  When
+    # u[j:i] is a lexicon word, lex[j][i] maps each k whose u[k:j] is a
+    # lexicon word to the best reading with u[k:j] as the word before, and
+    # rest[j][i] is the best over the other k, whose next word is scored
+    # alike.  lexical[j] lists the k >= 1 with u[k:j] a lexicon word and
+    # pair (k, j) feasible; novel[j] is the best pair (k, j), k >= 1, whose
+    # last word u[k:j] is outside the lexicon, since after it every next
+    # word w adds the same tri("", "", w); ending[j] is the best pair
+    # (k, j) over every k >= 1.
     best = [[_INF] * (n + 1) for _ in range(n)]
     rest = [[_INF] * (n + 1) for _ in range(n)]
     lex = [[None] * (n + 1) for _ in range(n)]
     lexical = [[] for _ in range(n + 1)]
     novel = [_INF] * (n + 1)
+    ending = [_INF] * (n + 1)
     # firsts[j]: score of u[:j] as the first word
-    firsts = [_INF] + [uni(words[0][j]) if allowed is None or allowed(0, j) else _INF
+    firsts = [_INF] + [costs[0][j] if allowed is None or allowed(0, j) else _INF
                        for j in range(1, n + 1)]
     for i in range(1, n + 1):
         for j in range(1, i):
             if allowed is not None and not allowed(j, i):
                 continue
             word = words[j][i]
-            added = tri("", "", word)
+            base = costs[j][i] - escape2  # bi("", word)
+            added = base - escape3  # tri("", "", word)
+            if word not in lexicon:
+                # base after the first word alone, added after two or more
+                top = ending[j] + added
+                opening = firsts[j] + base
+                best[j][i] = opening if opening < top else top
+                continue
             others = novel[j] + added
-            scores = {}
             opening = firsts[j] + bi(words[0][j], word)
+            scores = {}
             if words[0][j] in lexicon:
-                scores[0] = top = opening
-            else:
-                others = top = min(others, opening)
+                scores[0] = opening
+            elif opening < others:
+                others = opening
+            top = opening if opening < others else others
             for k in lexical[j]:
                 prev1 = words[k][j]
                 if (prev1, word) in bigram_counts:
@@ -257,19 +284,25 @@ def _search_trigram(scorer, u, allowed, lexicon, bigram_counts):
                 scores[k] = score
                 if score < top:
                     top = score
-            best[j][i] = min(top, others)
+            best[j][i] = top
             rest[j][i] = others
             lex[j][i] = scores
+        shared = top = _INF
         for j in range(1, i):
+            score = best[j][i]
             if words[j][i] not in lexicon:
-                if best[j][i] < novel[i]:
-                    novel[i] = best[j][i]
-            elif best[j][i] < _INF:
+                if score < shared:
+                    shared = score
+            elif score < _INF:
                 lexical[i].append(j)
+            if score < top:
+                top = score
+        novel[i] = shared
+        ending[i] = top
 
     def cell(k, j, i):
         """The dense search's score for u[:i] ending in words u[k:j], u[j:i]."""
-        if words[k][j] in lexicon:
+        if words[k][j] in lexicon and words[j][i] in lexicon:
             return lex[j][i].get(k, _INF)
         if k == 0:
             return firsts[j] + bi(words[0][j], words[j][i])

@@ -64,15 +64,19 @@ class CountTables:
         Every token bumps its unigram count; adjacent pairs and triples
         bump bigram and trigram counts.  N-grams never span utterance
         boundaries.  Phoneme counts move according to `mode`.  Words must
-        be non-empty, which also keeps "" out of the lexicon.
+        be non-empty, which also keeps "" out of the lexicon, and spelled
+        from the inventory, else UnknownPhoneme; a rejected call counts nothing.
         """
         words = tuple(words)
         if not words:
             raise ValueError("cannot commit an empty segmentation")
         if "" in words:
             raise ValueError("cannot commit an empty word")
-        self.score_cache = None
         unigrams = self.unigrams
+        for w in words:
+            if w not in unigrams:  # lexicon words were checked on entry
+                self.inventory.check(w)
+        self.score_cache = None
         novel = []
         for w in words:
             count = unigrams.get(w, 0)

@@ -12,7 +12,8 @@ from unittest import mock
 import pytest
 
 import dense_search
-from segdisc import LearnerConfig, PhonemeMode, new_tables, segment, word_score
+from segdisc import (LearnerConfig, PhonemeMode, default_inventory, new_tables, segment,
+                     word_score)
 from segdisc import segmenter
 
 POOL = ["a", "b", "ab", "ba", "aab", "bb", "aba", "I", "bI", "tIb", "Ita"]
@@ -71,6 +72,49 @@ def test_long_utterances_over_a_dense_lexicon_match_dense_search(order):
         for require_vowel in (False, True):
             assert_same_as_oracle(t, u, LearnerConfig(order=order,
                                                       require_vowel=require_vowel))
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_long_utterances_over_a_sparse_lexicon_match_dense_search(order):
+    # a small lexicon over the full alphabet: nearly every substring is
+    # outside the lexicon, so nearly every cell scores its word alike after
+    # every history, while the lexicon words still form seen n-grams
+    alphabet = default_inventory().symbols
+    rng = random.Random(10 + order)
+    lexicon = ["".join(rng.choices(alphabet, k=rng.randint(1, 3))) for _ in range(12)]
+    for mode in (PhonemeMode.LEXICON, PhonemeMode.SPEECH):
+        t = new_tables()
+        for _ in range(30):
+            t.commit(rng.choices(lexicon, k=rng.randint(1, 5)), mode)
+        for n in (40, 50, 60):
+            chunks = []
+            while sum(map(len, chunks)) < n:
+                chunks.append(rng.choice(lexicon) if rng.random() < 0.4 else
+                              "".join(rng.choices(alphabet, k=rng.randint(1, 3))))
+            u = "".join(chunks)[:n]
+            for require_vowel in (False, True):
+                assert_same_as_oracle(t, u, LearnerConfig(order=order, phoneme_mode=mode,
+                                                          require_vowel=require_vowel))
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_shared_state_is_scored_without_the_first_word(order):
+    # The first word "aaa" is a lexicon word that forms a seen bigram with
+    # "t", and the reading "a aa", whose last word is outside the lexicon,
+    # beats "aaa" read alone: "a" is frequent, SPEECH counts make "aa" cheap
+    # to spell, and 15 one-phoneme types raise the escape into spelling.
+    # Scoring "t" after the shared state of "a aa" as if after "aaa" would
+    # undercut every real reading.
+    mode = PhonemeMode.SPEECH
+    t = new_tables()
+    for _ in range(200):
+        t.commit(["a"], mode)
+    for w in "pmdnkgNfvTDszSZ":
+        t.commit([w], mode)
+    t.commit(["aaa", "t"], mode)
+    assert "aa" not in t.unigrams and ("aaa", "t") in t.bigrams
+    assert reading_score(t, ("a", "aa"), order) < reading_score(t, ("aaa",), order)
+    assert_same_as_oracle(t, "aaat", LearnerConfig(order=order, phoneme_mode=mode))
 
 
 def reading_score(tables, words, order, end=None):

@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from segdisc import (SENTINEL, LearnerConfig, PhonemeMode, default_inventory,
-                     new_tables, train_utterance)
+from segdisc import (SENTINEL, LearnerConfig, PhonemeMode, UnknownPhoneme,
+                     default_inventory, new_tables, train_utterance)
 
 EVENT_SPACE = 51  # 50 phonemes plus the sentinel
 
@@ -103,6 +103,24 @@ def test_commit_rejects_empty():
     with pytest.raises(ValueError, match="empty word"):
         train_utterance(t, ["", "a"], LearnerConfig(order=2))
     assert t.stats() == (0, 0, 0, 0, 0, 0) and t.unigrams == {}
+
+
+def snapshot(t):
+    return (dict(t.unigrams), dict(t.bigrams), dict(t.trigrams),
+            dict(t.phonemes), t.phoneme_total, t.stats())
+
+
+@pytest.mark.parametrize("mode", list(PhonemeMode))
+@pytest.mark.parametrize("words", [["ab", "é"], ["é"], ["a", "b", "a" + SENTINEL]])
+def test_commit_rejects_unknown_symbols_without_counting(mode, words):
+    t = new_tables()
+    t.commit(["ab", "a", "b"], mode)
+    before = snapshot(t)
+    with pytest.raises(UnknownPhoneme):
+        t.commit(words, mode)
+    with pytest.raises(UnknownPhoneme):
+        train_utterance(t, words, LearnerConfig(order=3, phoneme_mode=mode))
+    assert snapshot(t) == before
 
 
 def test_reference_corpus_commit_totals(sample_corpus):
