@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate, repeat
+from operator import sub
 
 from .phoneme import SENTINEL
 from .tables import CountTables
@@ -115,13 +117,12 @@ def _log_chain(tables: CountTables, symbols):
     every w, bi("", w) == uni(w) - e2 and tri("", "", w) == bi("", w) - e3.
 
     A novel word's spelling score grows by one phoneme term per phoneme, so
-    one loop from a start position spells every substring that starts
-    there, each from the one a phoneme shorter.  uni spells a word with that
-    loop, and substrings(u) runs it once per start position of u: it returns
-    words[j][i] = u[j:i] and costs[j][i] = uni(u[j:i]) and memoizes uni of
-    every novel substring, in O(n^2) phoneme steps for n = len(u) where
-    spelling each substring alone would take O(n^3).  Both perform the same
-    subtractions in the same order, so the scores are bit-identical.
+    `spell` scores every prefix of a word in one `accumulate`; uni and
+    substrings(u) share it, so their scores are bit-identical.  substrings
+    returns costs[j][i] = uni(u[j:i]) for 0 <= j < i <= n = len(u), in O(n^2)
+    float operations done in C, and starts[i], mapping each j whose u[j:i]
+    is a lexicon word to it in increasing j; only the O(n*L) substrings no
+    longer than the longest lexicon word, of L phonemes, are looked up.
     """
     log = math.log
     counts = tables.phonemes
@@ -133,17 +134,16 @@ def _log_chain(tables: CountTables, symbols):
         char_logs[ch] = log(counts[ch] / total)
 
     unigram_counts = tables.unigrams
+    max_word_len = tables.max_word_len
     denom1 = tables.n1 + tables.s1
     # with nothing observed there is no escape term, and x - 0.0 == x
     log_escape1 = log(tables.n1 / denom1) if denom1 > 0 else 0.0
+    escape1 = repeat(log_escape1)  # endless, so one serves every row
     uni_cache: dict[str, float] = {}
 
-    def spell(text: str, start: int):
-        """uni's novel-word score of text[start:i] for i = start+1, start+2, ..."""
-        value = sigma_head
-        for ch in text[start:]:
-            value -= char_logs[ch]
-            yield value - log_escape1
+    def spell(logs):
+        """uni's novel-word score of each prefix, from the empty one on."""
+        return map(sub, accumulate(logs, sub, initial=sigma_head), escape1)
 
     def uni(word: str) -> float:
         value = uni_cache.get(word)
@@ -152,25 +152,27 @@ def _log_chain(tables: CountTables, symbols):
             if count > 0:
                 value = -log(count / denom1)
             else:
-                *_, value = spell(word, 0)
+                *_, value = spell([char_logs[ch] for ch in word])
             uni_cache[word] = value
         return value
 
-    def substrings(u: str) -> tuple[list[list[str]], list[list[float]]]:
+    def substrings(u: str) -> tuple[list[list[float]], list[dict[int, str]]]:
         n = len(u)
-        words = [[""] * (n + 1) for _ in range(n + 1)]
-        costs = [[0.0] * (n + 1) for _ in range(n + 1)]
+        logs = [char_logs[ch] for ch in u]
+        costs = []
+        starts = [{} for _ in range(n + 1)]
         for j in range(n):
-            row = words[j]
-            cost_row = costs[j]
-            for i, value in enumerate(spell(u, j), j + 1):
-                row[i] = word = u[j:i]
+            # row[i] for i > j; row[j] is the empty word's unused score
+            row = [0.0] * j
+            row += spell(logs[j:])
+            window = u[j:j + max_word_len]
+            for size in range(1, len(window) + 1):
+                word = window[:size]
                 if word in unigram_counts:
-                    value = uni(word)
-                else:
-                    uni_cache[word] = value
-                cost_row[i] = value
-        return words, costs
+                    row[j + size] = uni(word)
+                    starts[j + size][j] = word
+            costs.append(row)
+        return costs, starts
 
     bigram_counts = tables.bigrams
     denom2 = tables.n2 + tables.s2
@@ -226,19 +228,17 @@ def word_score(tables: CountTables, context, word: str, order: int) -> float:
 
 
 class UtteranceScorer:
-    """The substrings of one utterance plus the log-domain back-off chain.
+    """The substring costs of one utterance plus the log-domain back-off chain.
 
-    words[j][i] is u[j:i] and costs[j][i] is uni(u[j:i]) for 0 <= j < i <=
-    len(u); the boundary search reads those costs, and scores the strings
-    with bi and tri from `_log_chain` and its `escapes`, so every score is
-    bit-identical to the equivalent word_score call.  Building the scorer
-    spells every novel substring in one pass per start position, O(n^2)
-    phoneme steps in all, after which uni on a substring, also inside bi and
-    tri, is a lookup.  The tables must not change while the scorer is alive.
+    `costs` and `starts` are `_log_chain`'s substrings(u): O(n^2) float
+    operations done in C plus O(n*L) lookups for a longest lexicon word of
+    L phonemes.  The search reads them and scores lexicon words with bi, tri
+    and `escapes`, so every score is bit-identical to the equivalent
+    word_score call.  The tables must not change while the scorer lives.
     """
 
-    __slots__ = ("words", "costs", "escapes", "uni", "bi", "tri")
+    __slots__ = ("costs", "starts", "escapes", "uni", "bi", "tri")
 
     def __init__(self, tables: CountTables, u: str):
         self.uni, self.bi, self.tri, substrings, self.escapes = _log_chain(tables, set(u))
-        self.words, self.costs = substrings(u)
+        self.costs, self.starts = substrings(u)

@@ -4,8 +4,8 @@
 lowest total negative log probability under the configured model order,
 by dynamic programming over prefix end positions.  Every model order
 scores words through the one log-domain back-off chain of
-`estimator.UtteranceScorer`: each substring's unigram cost is read from its
-cost matrix, and the chain itself is called only for lexicon words.
+`estimator.UtteranceScorer`: it gives each substring's unigram cost and
+the lexicon words among them, and the chain is called only for those.
 
 Under the bigram and trigram models a word's score depends on the words
 around it only through lexicon words: `commit` counts every token, so only
@@ -23,10 +23,11 @@ every score equals the one a dense search over all histories computes.
 The search visits O(n^2) cells (pairs of end positions) for an utterance
 of n phonemes, where the dense searches took O(n^3) and O(n^4).  A cell
 costs O(1) unless its word is a lexicon word; then, at orders 2 and 3, it
-costs O(1 + L) for the L lexicon words ending where it starts (at order 3
+costs O(1 + h) for the h lexicon words ending where it starts (at order 3
 a lexicon history also loops over the lexicon words before it when it
-forms a seen bigram with the word).  `UtteranceScorer` spells all substrings
-beforehand in O(n^2) phoneme steps and stores their unigram costs.
+forms a seen bigram with the word).  `UtteranceScorer` takes O(n^2) float
+operations done in C plus O(n*L) lookups for a longest lexicon word of L
+phonemes; words are sliced only for lexicon cells and on the winning path.
 
 Ties are resolved exactly as a strict `score < best` update does when the
 unsplit candidate is examined first and split points are visited left to
@@ -125,16 +126,14 @@ def segment(tables: CountTables, u: str, cfg: LearnerConfig) -> tuple[Segmentati
     if cfg.order == 1:
         words, score = _search_unigram(scorer, u, allowed)
     elif cfg.order == 2:
-        words, score = _search_bigram(scorer, u, allowed, tables.unigrams)
+        words, score = _search_bigram(scorer, u, allowed)
     else:
-        words, score = _search_trigram(scorer, u, allowed, tables.unigrams,
-                                       tables.bigrams)
+        words, score = _search_trigram(scorer, u, allowed, tables.bigrams)
     return Segmentation.from_words(words), score
 
 
 def _search_unigram(scorer, u, allowed):
     n = len(u)
-    words = scorer.words
     costs = scorer.costs
     best = [0.0] * (n + 1)
     back = [0] * (n + 1)
@@ -153,51 +152,45 @@ def _search_unigram(scorer, u, allowed):
     out = []
     i = n
     while i > 0:
-        out.append(words[back[i]][i])
+        out.append(u[back[i]:i])
         i = back[i]
     out.reverse()
     return out, best[n]
 
 
-def _search_bigram(scorer, u, allowed, lexicon):
+def _search_bigram(scorer, u, allowed):
     n = len(u)
     bi = scorer.bi
-    words = scorer.words
     costs = scorer.costs
+    starts = scorer.starts
     escape2 = scorer.escapes[0]
     # state[j][i]: best score for u[:i] whose last word is u[j:i];
     # j == 0 is the single-word reading, scored as a first word.
     state = [[_INF] * (n + 1) for _ in range(n)]
-    # lexical[j]: the k whose u[k:j] is a lexicon word; novel[j]: the best
-    # state[k][j] over the other k, which all score the next word alike;
-    # ending[j]: the best state[k][j] over every k.
-    lexical = [[] for _ in range(n + 1)]
+    # novel[j]: the best state[k][j] over the k outside starts[j], which all
+    # score the next word alike; ending[j]: the best state[k][j] over every k.
     novel = [_INF] * (n + 1)
     ending = [_INF] * (n + 1)
     for i in range(1, n + 1):
-        if allowed is None or allowed(0, i):
-            state[0][i] = costs[0][i]
+        here = starts[i]
+        state[0][i] = top = costs[0][i] if allowed is None or allowed(0, i) else _INF
+        shared = _INF if 0 in here else top
         for j in range(1, i):
             if allowed is not None and not allowed(j, i):
                 continue
-            word = words[j][i]
-            base = costs[j][i] - escape2  # bi("", word)
-            if word not in lexicon:
-                state[j][i] = ending[j] + base
-                continue
-            score = novel[j] + base
-            for k in lexical[j]:
-                cand = state[k][j] + bi(words[k][j], word)
-                if cand < score:
-                    score = cand
+            base = costs[j][i] - escape2  # bi("", u[j:i])
+            if j not in here:
+                score = ending[j] + base
+                if score < shared:
+                    shared = score
+            else:
+                word = here[j]
+                score = novel[j] + base
+                for k, prev in starts[j].items():
+                    cand = state[k][j] + bi(prev, word)
+                    if cand < score:
+                        score = cand
             state[j][i] = score
-        shared = top = _INF
-        for k in range(i):
-            score = state[k][i]
-            if words[k][i] in lexicon:
-                lexical[i].append(k)
-            elif score < shared:
-                shared = score
             if score < top:
                 top = score
         novel[i] = shared
@@ -208,25 +201,26 @@ def _search_bigram(scorer, u, allowed, lexicon):
     out = []
     i = n
     while j > 0:
-        word = words[j][i]
+        word = u[j:i]
         out.append(word)
         # the dense scan's choice: the first k that reaches the cell's score
         target = state[j][i]
+        base = costs[j][i] - escape2
         k = 0
-        while state[k][j] + bi(words[k][j], word) != target:
+        while state[k][j] + (bi(starts[j][k], word) if k in starts[j] else base) != target:
             k += 1
         i, j = j, k
-    out.append(words[0][i])
+    out.append(u[:i])
     out.reverse()
     return out, score
 
 
-def _search_trigram(scorer, u, allowed, lexicon, bigram_counts):
+def _search_trigram(scorer, u, allowed, bigram_counts):
     n = len(u)
     bi = scorer.bi
     tri = scorer.tri
-    words = scorer.words
     costs = scorer.costs
+    starts = scorer.starts
     escape2, escape3 = scorer.escapes
     # Pair (j, i) stands for the readings of u[:i] in two or more words
     # whose last word is u[j:i].  best[j][i] is the best of them.  When
@@ -248,65 +242,64 @@ def _search_trigram(scorer, u, allowed, lexicon, bigram_counts):
     firsts = [_INF] + [costs[0][j] if allowed is None or allowed(0, j) else _INF
                        for j in range(1, n + 1)]
     for i in range(1, n + 1):
+        here = starts[i]
+        shared = overall = _INF
         for j in range(1, i):
             if allowed is not None and not allowed(j, i):
                 continue
-            word = words[j][i]
-            base = costs[j][i] - escape2  # bi("", word)
-            added = base - escape3  # tri("", "", word)
-            if word not in lexicon:
+            base = costs[j][i] - escape2  # bi("", u[j:i])
+            added = base - escape3  # tri("", "", u[j:i])
+            if j not in here:
                 # base after the first word alone, added after two or more
                 top = ending[j] + added
                 opening = firsts[j] + base
-                best[j][i] = opening if opening < top else top
-                continue
-            others = novel[j] + added
-            opening = firsts[j] + bi(words[0][j], word)
-            scores = {}
-            if words[0][j] in lexicon:
-                scores[0] = opening
-            elif opening < others:
-                others = opening
-            top = opening if opening < others else others
-            for k in lexical[j]:
-                prev1 = words[k][j]
-                if (prev1, word) in bigram_counts:
-                    score = rest[k][j] + tri("", prev1, word)
-                    for t, prefix in lex[k][j].items():
-                        cand = prefix + tri(words[t][k], prev1, word)
-                        if cand < score:
-                            score = cand
+                top = opening if opening < top else top
+                if top < shared:
+                    shared = top
+            else:
+                word = here[j]
+                before = starts[j]
+                others = novel[j] + added
+                scores = {}
+                if 0 in before:
+                    scores[0] = opening = firsts[j] + bi(before[0], word)
                 else:
-                    # a trigram x, prev1, word is only ever counted along
-                    # with the bigram prev1, word, so with that pair unseen
-                    # the added score is the same for every third-back word
-                    score = best[k][j] + added
-                scores[k] = score
-                if score < top:
-                    top = score
+                    opening = firsts[j] + base
+                    if opening < others:
+                        others = opening
+                top = opening if opening < others else others
+                for k in lexical[j]:
+                    prev1 = before[k]
+                    if (prev1, word) in bigram_counts:
+                        score = rest[k][j] + tri("", prev1, word)
+                        for t, prefix in lex[k][j].items():
+                            cand = prefix + tri(starts[k][t], prev1, word)
+                            if cand < score:
+                                score = cand
+                    else:
+                        # a trigram x, prev1, word is only ever counted along
+                        # with the bigram prev1, word, so with that pair unseen
+                        # the added score is the same for every third-back word
+                        score = best[k][j] + added
+                    scores[k] = score
+                    if score < top:
+                        top = score
+                rest[j][i] = others
+                lex[j][i] = scores
+                if top < _INF:
+                    lexical[i].append(j)
             best[j][i] = top
-            rest[j][i] = others
-            lex[j][i] = scores
-        shared = top = _INF
-        for j in range(1, i):
-            score = best[j][i]
-            if words[j][i] not in lexicon:
-                if score < shared:
-                    shared = score
-            elif score < _INF:
-                lexical[i].append(j)
-            if score < top:
-                top = score
+            if top < overall:
+                overall = top
         novel[i] = shared
-        ending[i] = top
+        ending[i] = overall
 
     def cell(k, j, i):
         """The dense search's score for u[:i] ending in words u[k:j], u[j:i]."""
-        if words[k][j] in lexicon and words[j][i] in lexicon:
+        if k in starts[j] and j in starts[i]:
             return lex[j][i].get(k, _INF)
-        if k == 0:
-            return firsts[j] + bi(words[0][j], words[j][i])
-        return best[k][j] + tri("", "", words[j][i])
+        base = costs[j][i] - escape2
+        return firsts[j] + base if k == 0 else best[k][j] + (base - escape3)
 
     # the unsplit reading is examined first, then pairs (j, n) and their k
     # in increasing order; the first to reach the best score wins
@@ -315,17 +308,20 @@ def _search_trigram(scorer, u, allowed, lexicon, bigram_counts):
         return [u], score
     j = next(j for j in range(1, n) if best[j][n] == score)
     k = next(k for k in range(j) if cell(k, j, n) == score)
-    out = [words[j][n]]
+    out = [u[j:]]
     i = n
     while True:
-        out.append(words[k][j])
+        out.append(u[k:j])
         if k == 0:
             break
+        # after a third-back word outside the lexicon, tri is tri("", ...)
         target = cell(k, j, i)
-        prev1 = words[k][j]
-        word = words[j][i]
+        prev1 = u[k:j]
+        word = u[j:i]
+        before = starts[k]
+        other = tri("", prev1, word)
         t = 0
-        while cell(t, k, j) + tri(words[t][k], prev1, word) != target:
+        while cell(t, k, j) + (tri(before[t], prev1, word) if t in before else other) != target:
             t += 1
         k, j, i = t, k, j
     out.reverse()

@@ -1,11 +1,14 @@
-"""The dense order-2 and order-3 boundary searches, kept as a test oracle.
+"""The dense boundary searches, kept as a test oracle.
 
-These are the searches `segdisc.segmenter` used before it collapsed every
-history outside the lexicon into one state per position.  They visit every
-cell, O(n^3) at order 2 and O(n^4) at order 3, keep a back-pointer per
-cell, and resolve ties by a strict `<` scan.  The production searches must
-return the same words and the same score bits; `tests/test_search_oracle.py`
-checks that by substituting these for the production ones in `segment`.
+The order-2 and order-3 searches are the ones `segdisc.segmenter` used
+before it collapsed every history outside the lexicon into one state per
+position.  They visit every cell, O(n^3) at order 2 and O(n^4) at order 3,
+keep a back-pointer per cell, and resolve ties by a strict `<` scan.  All
+three slice every word from the utterance and score it through the chain's
+uni, bi and tri, so none reads the scorer's cost table or lexicon starts.
+The production searches must return the same words and the same score
+bits; `tests/test_search_oracle.py` checks that by substituting these for
+the production ones in `segment`.
 """
 
 import math
@@ -13,29 +16,50 @@ import math
 _INF = math.inf
 
 
+def _search_unigram(scorer, u, allowed):
+    n = len(u)
+    uni = scorer.uni
+    best = [0.0] + [_INF] * n
+    back = [0] * (n + 1)
+    for i in range(1, n + 1):
+        for j in range(i):
+            if allowed is not None and not allowed(j, i):
+                continue
+            cand = best[j] + uni(u[j:i])
+            if cand < best[i]:
+                best[i] = cand
+                back[i] = j
+    out = []
+    i = n
+    while i > 0:
+        out.append(u[back[i]:i])
+        i = back[i]
+    out.reverse()
+    return out, best[n]
+
+
 def _search_bigram(scorer, u, allowed):
     n = len(u)
     uni = scorer.uni
     bi = scorer.bi
-    words = scorer.words
     # state[j][i]: best score for u[:i] whose last word is u[j:i];
     # j == 0 is the single-word reading, scored as a first word.
     state = [[_INF] * (n + 1) for _ in range(n)]
     back = [[-1] * (n + 1) for _ in range(n)]
     for i in range(1, n + 1):
         if allowed is None or allowed(0, i):
-            state[0][i] = uni(words[0][i])
+            state[0][i] = uni(u[:i])
         for j in range(1, i):
             if allowed is not None and not allowed(j, i):
                 continue
-            word = words[j][i]
+            word = u[j:i]
             score = _INF
             split = -1
             for k in range(j):
                 prefix = state[k][j]
                 if prefix == _INF:
                     continue
-                cand = prefix + bi(words[k][j], word)
+                cand = prefix + bi(u[k:j], word)
                 if cand < score:
                     score = cand
                     split = k
@@ -50,9 +74,9 @@ def _search_bigram(scorer, u, allowed):
     out = []
     i, j = n, last
     while j > 0:
-        out.append(words[j][i])
+        out.append(u[j:i])
         i, j = j, back[j][i]
-    out.append(words[0][i])
+    out.append(u[:i])
     out.reverse()
     return out, score
 
@@ -62,7 +86,6 @@ def _search_trigram(scorer, u, allowed, bigram_counts):
     uni = scorer.uni
     bi = scorer.bi
     tri = scorer.tri
-    words = scorer.words
     # state[(k, j, i)]: best score for u[:i] ending in words u[k:j], u[j:i].
     # k == 0 means u[k:j] is the first word (unigram + bigram scored base).
     state: dict[tuple[int, int, int], float] = {}
@@ -71,14 +94,14 @@ def _search_trigram(scorer, u, allowed, bigram_counts):
         for j in range(1, i):
             if allowed is not None and not allowed(j, i):
                 continue
-            word = words[j][i]
+            word = u[j:i]
             if allowed is None or allowed(0, j):
-                state[(0, j, i)] = uni(words[0][j]) + bi(words[0][j], word)
+                state[(0, j, i)] = uni(u[:j]) + bi(u[:j], word)
                 back[(0, j, i)] = -1
             for k in range(1, j):
                 if allowed is not None and not allowed(k, j):
                     continue
-                prev1 = words[k][j]
+                prev1 = u[k:j]
                 score = _INF
                 split = -1
                 if (prev1, word) in bigram_counts:
@@ -86,7 +109,7 @@ def _search_trigram(scorer, u, allowed, bigram_counts):
                         prefix = state.get((t, k, j))
                         if prefix is None:
                             continue
-                        cand = prefix + tri(words[t][k], prev1, word)
+                        cand = prefix + tri(u[t:k], prev1, word)
                         if cand < score:
                             score = cand
                             split = t
@@ -94,7 +117,7 @@ def _search_trigram(scorer, u, allowed, bigram_counts):
                     # a trigram x, prev1, word is only ever counted along
                     # with the bigram prev1, word, so with that pair unseen
                     # the added score is the same for every third-back word
-                    added = tri(words[0][k], prev1, word)
+                    added = tri(u[:k], prev1, word)
                     for t in range(k):
                         prefix = state.get((t, k, j))
                         if prefix is None:
@@ -106,7 +129,7 @@ def _search_trigram(scorer, u, allowed, bigram_counts):
                 if split >= 0:
                     state[(k, j, i)] = score
                     back[(k, j, i)] = split
-    score = uni(words[0][n]) if allowed is None or allowed(0, n) else _INF
+    score = uni(u[:n]) if allowed is None or allowed(0, n) else _INF
     winner = None
     for j in range(1, n):
         for k in range(j):
@@ -117,10 +140,10 @@ def _search_trigram(scorer, u, allowed, bigram_counts):
     if winner is None:
         return [u], score
     k, j = winner
-    out = [words[j][n]]
+    out = [u[j:n]]
     i = n
     while True:
-        out.append(words[k][j])
+        out.append(u[k:j])
         t = back[(k, j, i)]
         if t < 0:
             break

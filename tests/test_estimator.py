@@ -274,16 +274,19 @@ def spelled_alone(tables, word):
 
 
 def assert_pass_is_bit_identical(tables, u):
-    """The scorer's unigram score of every substring of `u`, by float.hex,
-    equals word_score's and the word spelled on its own."""
+    """Every cost cell of the scorer, by float.hex, equals word_score's and
+    the word spelled on its own, and starts[i] maps exactly the j whose
+    u[j:i] is a lexicon word, in increasing order, to that word."""
     scorer = UtteranceScorer(tables, u)
-    for j in range(len(u)):
-        for i in range(j + 1, len(u) + 1):
+    for i in range(1, len(u) + 1):
+        for j in range(i):
             word = u[j:i]
-            assert scorer.words[j][i] == word
-            got = scorer.uni(word).hex()
+            got = scorer.costs[j][i].hex()
             assert got == word_score(tables, (), word, 1).hex(), (u, j, i)
             assert got == spelled_alone(tables, word).hex(), (u, j, i)
+        lexical = [(j, u[j:i]) for j in range(i) if u[j:i] in tables.unigrams]
+        assert list(scorer.starts[i].items()) == lexical, (u, i)
+    assert scorer.starts[0] == {}
 
 
 @pytest.mark.parametrize("mode", list(PhonemeMode))
@@ -300,7 +303,21 @@ def test_spelling_pass_random_states(mode):
 
 def test_spelling_pass_empty_tables():
     # nothing observed: no escape term, the spelling model alone
-    assert_pass_is_bit_identical(new_tables(), "D&mbrItIS")
+    t = new_tables()
+    assert_pass_is_bit_identical(t, "D&mbrItIS")
+    assert UtteranceScorer(t, "D&mbrItIS").starts == [{}] * 10
+
+
+@pytest.mark.parametrize("u", ["D&mbrItISkIti", "kItiD&mbrItIS", "D&mbrItIS", "brItIS",
+                               "D&mD&mbrItI", "S", "IS"])
+def test_spelling_pass_words_as_long_as_the_longest(u):
+    # "D&mbrItIS" is the longest lexicon word: at the start of u, at its
+    # end, spanning all of u, cut by one phoneme, and in utterances shorter
+    # than it, where an off-by-one in the length bound drops or adds a cell
+    t = damn_british_tables()
+    t.commit(["kIti", "I", "S"])
+    assert t.max_word_len == len("D&mbrItIS")
+    assert_pass_is_bit_identical(t, u)
 
 
 def test_spelling_pass_long_novel_utterance():

@@ -107,7 +107,7 @@ def test_commit_rejects_empty():
 
 def snapshot(t):
     return (dict(t.unigrams), dict(t.bigrams), dict(t.trigrams),
-            dict(t.phonemes), t.phoneme_total, t.stats())
+            dict(t.phonemes), t.phoneme_total, t.stats(), t.max_word_len)
 
 
 @pytest.mark.parametrize("mode", list(PhonemeMode))
@@ -121,6 +121,29 @@ def test_commit_rejects_unknown_symbols_without_counting(mode, words):
     with pytest.raises(UnknownPhoneme):
         train_utterance(t, words, LearnerConfig(order=3, phoneme_mode=mode))
     assert snapshot(t) == before
+
+
+def test_max_word_len_is_the_longest_lexicon_word(sample_corpus):
+    t = new_tables()
+    assert t.max_word_len == 0
+    t.commit(["ab", "a"])
+    assert t.max_word_len == 2
+    t.commit(["b", "abab", "ba"], PhonemeMode.SPEECH)
+    assert t.max_word_len == 4
+    t.commit(["ab", "b"])
+    assert t.max_word_len == 4
+    for words in (["ab", "é"], ["ababab", "é"]):
+        with pytest.raises(UnknownPhoneme):
+            t.commit(words)
+        assert t.max_word_len == 4
+    rng = random.Random(6)
+    for _ in range(50):
+        t.commit(["a" * rng.randint(1, 12) for _ in range(rng.randint(1, 4))])
+        assert t.max_word_len == max(map(len, t.unigrams))
+    trained = new_tables()
+    for utterance in sample_corpus:
+        train_utterance(trained, utterance.words, LearnerConfig(order=2))
+        assert trained.max_word_len == max(map(len, trained.unigrams))
 
 
 def test_reference_corpus_commit_totals(sample_corpus):
