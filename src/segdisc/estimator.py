@@ -199,6 +199,12 @@ def _log_chain(tables: CountTables, symbols):
     return uni, bi, tri, substrings, (log_escape2, log_escape3)
 
 
+def check_order(order) -> None:
+    """Raise ValueError unless `order` is the int 1, 2 or 3."""
+    if type(order) is not int or order not in (1, 2, 3):
+        raise ValueError(f"order must be the int 1, 2 or 3, got {order!r}")
+
+
 def word_score(tables: CountTables, context, word: str, order: int) -> float:
     """Negative natural log of the word's probability under the model order.
 
@@ -211,8 +217,7 @@ def word_score(tables: CountTables, context, word: str, order: int) -> float:
     spelled that holds a symbol outside the inventory, the end-of-word
     sentinel included (UnknownPhoneme).
     """
-    if order not in (1, 2, 3):
-        raise ValueError(f"order must be 1, 2 or 3, got {order}")
+    check_order(order)
     if not word:
         raise ValueError("cannot score an empty word")
     have = min(order - 1, len(context))

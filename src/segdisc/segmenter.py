@@ -5,29 +5,34 @@ lowest total negative log probability under the configured model order,
 by dynamic programming over prefix end positions.  Every model order
 scores words through the one log-domain back-off chain of
 `estimator.UtteranceScorer`: it gives each substring's unigram cost and
-the lexicon words among them, and the chain is called only for those.
+the lexicon words among them, and the chain is called only for those.  A
+word u[j:i] may start at any j < limit[i], the start bound: one past the
+last vowel before i under the vowel rule, i without it.
 
-Under the bigram and trigram models a word's score depends on the words
-around it only through lexicon words: `commit` counts every token, so only
-lexicon words occur in a seen bigram or trigram.  After a history whose
-last word is outside the lexicon, every next word w adds the same score,
-bi("", w) or tri("", "", w), so the searches keep one shared state per
-position for all such histories and score the lexicon histories one by one
-(back-off state minimisation, as in Allauzen, Mohri and Roark, ACL 2003).
-Likewise a word outside the lexicon adds the same score after every
-history, bi("", w), or tri("", "", w) after two or more words, so its cell
-is one addition to the best reading ending where it starts.  Float
-rounding is monotone, so min(x) + c is bit-identical to min(x + c), and
-every score equals the one a dense search over all histories computes.
+`commit` counts every token, so only lexicon words occur in a seen bigram
+or trigram, and each search keeps per position only the history states
+that score a next word differently (back-off state minimisation, as in
+Allauzen, Mohri and Roark, ACL 2003).  Order 1 keeps one.  Order 2 keeps
+the one-word reading, each lexicon last word, and one state shared by
+every last word outside the lexicon, after which every next word w adds
+bi("", w).  Order 3 keeps the same, but splits a lexicon last word by the
+word before only where the two form a seen bigram: a trigram is only
+counted along with its last bigram, so after any other pair x, w the next
+word v adds tri("", w, v).  Likewise a word outside the lexicon adds the
+same score after every history, bi("", w), or tri("", "", w) after two or
+more words, so its cell is one addition to the best reading ending where
+it starts.  Float rounding is monotone, so min(x) + c is bit-identical to
+min(x + c), and every score equals the one a dense search over all
+histories computes.
 
-The search visits O(n^2) cells (pairs of end positions) for an utterance
-of n phonemes, where the dense searches took O(n^3) and O(n^4).  A cell
-costs O(1) unless its word is a lexicon word; then, at orders 2 and 3, it
-costs O(1 + h) for the h lexicon words ending where it starts (at order 3
-a lexicon history also loops over the lexicon words before it when it
-forms a seen bigram with the word).  `UtteranceScorer` takes O(n^2) float
-operations done in C plus O(n*L) lookups for a longest lexicon word of L
-phonemes; words are sliced only for lexicon cells and on the winning path.
+The search visits O(n^2) cells (pairs of end positions) of an n-phoneme
+utterance, where the dense searches took O(n^3) and O(n^4).  At orders 2
+and 3 a lexicon word's cell costs O(1 + h) for the h lexicon words ending
+where it starts, plus at order 3 the splits stored for each that forms a
+seen bigram with it; every other cell costs O(1).  `UtteranceScorer` takes
+O(n^2) float operations done in C plus O(n*L) lookups for a longest
+lexicon word of L phonemes; words are sliced only for lexicon cells and on
+the winning path.
 
 Ties are resolved exactly as a strict `score < best` update does when the
 unsplit candidate is examined first and split points are visited left to
@@ -46,7 +51,7 @@ import math
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .estimator import UtteranceScorer, word_score
+from .estimator import UtteranceScorer, check_order, word_score
 from .tables import CountTables, PhonemeMode
 
 _INF = math.inf
@@ -95,8 +100,7 @@ class LearnerConfig:
     require_vowel: bool = False
 
     def __post_init__(self):
-        if self.order not in (1, 2, 3):
-            raise ValueError(f"order must be 1, 2 or 3, got {self.order}")
+        check_order(self.order)
 
 
 def segment(tables: CountTables, u: str, cfg: LearnerConfig) -> tuple[Segmentation, float]:
@@ -110,39 +114,37 @@ def segment(tables: CountTables, u: str, cfg: LearnerConfig) -> tuple[Segmentati
     if not u:
         raise ValueError("cannot segment an empty utterance")
     tables.inventory.check(u)
-    allowed = None
+    n = len(u)
+    # the start bound: a word u[j:i] may be read for every j < limit[i],
+    # which under the vowel rule is one past the last vowel before i
+    limit = range(n + 1)
     if cfg.require_vowel:
         is_vowel = tables.inventory.is_vowel
-        vowels_before = [0]
-        for ch in u:
-            vowels_before.append(vowels_before[-1] + (1 if is_vowel(ch) else 0))
-        if vowels_before[-1] == 0:
+        limit = list(accumulate((i if is_vowel(ch) else 0 for i, ch in enumerate(u, 1)),
+                                max, initial=0))
+        if not limit[n]:
             return Segmentation.from_words((u,)), word_score(tables, (), u, cfg.order)
-
-        def allowed(start: int, end: int) -> bool:
-            return vowels_before[end] > vowels_before[start]
 
     scorer = UtteranceScorer(tables, u)
     if cfg.order == 1:
-        words, score = _search_unigram(scorer, u, allowed)
+        words, score = _search_unigram(scorer, u, limit)
     elif cfg.order == 2:
-        words, score = _search_bigram(scorer, u, allowed)
+        words, score = _search_bigram(scorer, u, limit)
     else:
-        words, score = _search_trigram(scorer, u, allowed, tables.bigrams)
+        words, score = _search_trigram(scorer, u, limit, tables.bigrams)
     return Segmentation.from_words(words), score
 
 
-def _search_unigram(scorer, u, allowed):
+def _search_unigram(scorer, u, limit):
     n = len(u)
     costs = scorer.costs
     best = [0.0] * (n + 1)
     back = [0] * (n + 1)
     for i in range(1, n + 1):
-        score = costs[0][i] if allowed is None or allowed(0, i) else _INF
+        # an infeasible prefix scores +inf, so it never wins a strict <
+        score = costs[0][i] if limit[i] else _INF
         split = 0
-        for j in range(1, i):
-            if best[j] == _INF or (allowed is not None and not allowed(j, i)):
-                continue
+        for j in range(1, limit[i]):
             cand = best[j] + costs[j][i]
             if cand < score:
                 score = cand
@@ -158,7 +160,7 @@ def _search_unigram(scorer, u, allowed):
     return out, best[n]
 
 
-def _search_bigram(scorer, u, allowed):
+def _search_bigram(scorer, u, limit):
     n = len(u)
     bi = scorer.bi
     costs = scorer.costs
@@ -173,11 +175,9 @@ def _search_bigram(scorer, u, allowed):
     ending = [_INF] * (n + 1)
     for i in range(1, n + 1):
         here = starts[i]
-        state[0][i] = top = costs[0][i] if allowed is None or allowed(0, i) else _INF
+        state[0][i] = top = costs[0][i] if limit[i] else _INF
         shared = _INF if 0 in here else top
-        for j in range(1, i):
-            if allowed is not None and not allowed(j, i):
-                continue
+        for j in range(1, limit[i]):
             base = costs[j][i] - escape2  # bi("", u[j:i])
             if j not in here:
                 score = ending[j] + base
@@ -215,7 +215,7 @@ def _search_bigram(scorer, u, allowed):
     return out, score
 
 
-def _search_trigram(scorer, u, allowed, bigram_counts):
+def _search_trigram(scorer, u, limit, bigram_counts):
     n = len(u)
     bi = scorer.bi
     tri = scorer.tri
@@ -223,30 +223,25 @@ def _search_trigram(scorer, u, allowed, bigram_counts):
     starts = scorer.starts
     escape2, escape3 = scorer.escapes
     # Pair (j, i) stands for the readings of u[:i] in two or more words
-    # whose last word is u[j:i].  best[j][i] is the best of them.  When
-    # u[j:i] is a lexicon word, lex[j][i] maps each k whose u[k:j] is a
-    # lexicon word to the best reading with u[k:j] as the word before, and
-    # rest[j][i] is the best over the other k, whose next word is scored
-    # alike.  lexical[j] lists the k >= 1 with u[k:j] a lexicon word and
-    # pair (k, j) feasible; novel[j] is the best pair (k, j), k >= 1, whose
-    # last word u[k:j] is outside the lexicon, since after it every next
-    # word w adds the same tri("", "", w); ending[j] is the best pair
-    # (k, j) over every k >= 1.
+    # whose last word is u[j:i]; best[j][i] is the best of them.  When
+    # u[j:i] is a lexicon word, split[j][i] maps each k whose u[k:j], u[j:i]
+    # is a seen bigram to the best reading ending in those two words, and
+    # rest[j][i] is the best over every other k, after which every next
+    # word v adds tri("", u[j:i], v).  Each row of split shares one empty
+    # dict, which is replaced, never changed.  novel[j] is the best pair
+    # (k, j), k >= 1, whose last word u[k:j] is outside the lexicon;
+    # ending[j] is the best pair (k, j) over every k >= 1.
     best = [[_INF] * (n + 1) for _ in range(n)]
     rest = [[_INF] * (n + 1) for _ in range(n)]
-    lex = [[None] * (n + 1) for _ in range(n)]
-    lexical = [[] for _ in range(n + 1)]
+    split = [[{}] * (n + 1) for _ in range(n)]
     novel = [_INF] * (n + 1)
     ending = [_INF] * (n + 1)
     # firsts[j]: score of u[:j] as the first word
-    firsts = [_INF] + [costs[0][j] if allowed is None or allowed(0, j) else _INF
-                       for j in range(1, n + 1)]
+    firsts = [_INF] + [costs[0][j] if limit[j] else _INF for j in range(1, n + 1)]
     for i in range(1, n + 1):
         here = starts[i]
         shared = overall = _INF
-        for j in range(1, i):
-            if allowed is not None and not allowed(j, i):
-                continue
+        for j in range(1, limit[i]):
             base = costs[j][i] - escape2  # bi("", u[j:i])
             added = base - escape3  # tri("", "", u[j:i])
             if j not in here:
@@ -258,36 +253,35 @@ def _search_trigram(scorer, u, allowed, bigram_counts):
                     shared = top
             else:
                 word = here[j]
-                before = starts[j]
                 others = novel[j] + added
+                top = _INF
                 scores = {}
-                if 0 in before:
-                    scores[0] = opening = firsts[j] + bi(before[0], word)
-                else:
-                    opening = firsts[j] + base
-                    if opening < others:
-                        others = opening
-                top = opening if opening < others else others
-                for k in lexical[j]:
-                    prev1 = before[k]
-                    if (prev1, word) in bigram_counts:
+                for k, prev1 in starts[j].items():
+                    if (prev1, word) not in bigram_counts:
+                        if k:
+                            score = best[k][j] + added
+                            if score < others:
+                                others = score
+                        continue
+                    if k:
                         score = rest[k][j] + tri("", prev1, word)
-                        for t, prefix in lex[k][j].items():
+                        for t, prefix in split[k][j].items():
                             cand = prefix + tri(starts[k][t], prev1, word)
                             if cand < score:
                                 score = cand
                     else:
-                        # a trigram x, prev1, word is only ever counted along
-                        # with the bigram prev1, word, so with that pair unseen
-                        # the added score is the same for every third-back word
-                        score = best[k][j] + added
+                        score = firsts[j] + bi(prev1, word)
                     scores[k] = score
                     if score < top:
                         top = score
+                if 0 not in scores:
+                    opening = firsts[j] + base
+                    if opening < others:
+                        others = opening
                 rest[j][i] = others
-                lex[j][i] = scores
-                if top < _INF:
-                    lexical[i].append(j)
+                split[j][i] = scores
+                if others < top:
+                    top = others
             best[j][i] = top
             if top < overall:
                 overall = top
@@ -296,8 +290,8 @@ def _search_trigram(scorer, u, allowed, bigram_counts):
 
     def cell(k, j, i):
         """The dense search's score for u[:i] ending in words u[k:j], u[j:i]."""
-        if k in starts[j] and j in starts[i]:
-            return lex[j][i].get(k, _INF)
+        if k in split[j][i]:
+            return split[j][i][k]
         base = costs[j][i] - escape2
         return firsts[j] + base if k == 0 else best[k][j] + (base - escape3)
 

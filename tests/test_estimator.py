@@ -206,6 +206,14 @@ def test_word_score_rejects_bad_order():
         word_score(t, (), "a", 4)
 
 
+@pytest.mark.parametrize("order", [1.0, 2.0, 3.0, True])
+def test_word_score_rejects_orders_that_are_not_ints(order):
+    t = new_tables()
+    t.commit(["ab", "ba"])
+    with pytest.raises(ValueError, match="order must be"):
+        word_score(t, ("ab",), "ba", order)
+
+
 def test_word_score_rejects_empty_word():
     # the spelling model normalizes over non-empty strings: "" has no mass
     t = new_tables()

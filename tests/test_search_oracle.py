@@ -9,14 +9,13 @@ bits means the same sums.
 
 import random
 from pathlib import Path
-from unittest import mock
 
 import pytest
 
 import dense_search
-from segdisc import (LearnerConfig, PhonemeMode, default_inventory, new_tables, segment,
-                     word_score)
-from segdisc import segmenter
+from segdisc import (LearnerConfig, PhonemeMode, Segmentation, default_inventory,
+                     is_vowel_bearing, new_tables, segment, word_score)
+from segdisc.estimator import UtteranceScorer
 
 STREAM = Path(__file__).parent / "fixtures" / "synthetic308.txt"
 POOL = ["a", "b", "ab", "ba", "aab", "bb", "aba", "I", "bI", "tIb", "Ita"]
@@ -24,11 +23,29 @@ SYMBOLS = "abIt"
 
 
 def dense_segment(tables, u, cfg):
-    """`segment` with the dense searches substituted for the production ones."""
-    with mock.patch.object(segmenter, "_search_unigram", dense_search._search_unigram), \
-            mock.patch.object(segmenter, "_search_bigram", dense_search._search_bigram), \
-            mock.patch.object(segmenter, "_search_trigram", dense_search._search_trigram):
-        return segment(tables, u, cfg)
+    """`segment` with the dense searches in place of the production ones.
+
+    The vowel rule is applied here as its own test on each word, through
+    `allowed`, so the production search's start bound is checked against
+    an independent rule; an utterance without a vowel is one word, as in
+    `segment`.
+    """
+    allowed = None
+    if cfg.require_vowel:
+        if not is_vowel_bearing(u, tables.inventory):
+            return Segmentation.from_words((u,)), word_score(tables, (), u, cfg.order)
+
+        def allowed(start, end):
+            return is_vowel_bearing(u[start:end], tables.inventory)
+
+    scorer = UtteranceScorer(tables, u)
+    if cfg.order == 1:
+        words, score = dense_search._search_unigram(scorer, u, allowed)
+    elif cfg.order == 2:
+        words, score = dense_search._search_bigram(scorer, u, allowed)
+    else:
+        words, score = dense_search._search_trigram(scorer, u, allowed, tables.bigrams)
+    return Segmentation.from_words(words), score
 
 
 def assert_same_as_oracle(tables, u, cfg):
@@ -112,6 +129,28 @@ def test_long_utterances_over_a_sparse_lexicon_match_dense_search(order):
             for require_vowel in (False, True):
                 assert_same_as_oracle(t, u, LearnerConfig(order=order, phoneme_mode=mode,
                                                           require_vowel=require_vowel))
+
+
+# The vowel rule's edges: the only vowel at the first phoneme, at the last
+# or mid-utterance, no vowel at all, and consonant runs longer than the
+# longest lexicon word (three phonemes).  The lexicon has words without a
+# vowel, in seen bigrams and trigrams, so histories the rule excludes are
+# lexicon words too.
+VOWEL_EDGES = ["a", "b", "abtbtbt", "btbtbta", "btbabtb", "btbtbt", "abtbtbtbtbtba",
+               "bIbtbtbtbtbtbtab", "tbtbtbtIbtbtbtb", "a" + "bt" * 20 + "I" + "tb" * 20 + "a"]
+
+
+@pytest.mark.parametrize("u", VOWEL_EDGES)
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_vowel_rule_edges_match_dense_search(order, u):
+    for mode in PhonemeMode:
+        t = new_tables()
+        for words in [("ab", "bt"), ("b", "ab"), ("bt", "b", "ab"), ("bIb", "t"),
+                      ("tb", "a"), ("a", "b", "t"), ("bt", "b", "ab")]:
+            t.commit(words, mode)
+        seg = assert_same_as_oracle(t, u, LearnerConfig(order=order, phoneme_mode=mode,
+                                                        require_vowel=True))
+        assert all(is_vowel_bearing(w) for w in seg.words) or seg.words == (u,)
 
 
 @pytest.mark.parametrize("order", [2, 3])

@@ -72,6 +72,12 @@ def test_learner_config_validates_order():
         LearnerConfig(order=4)
 
 
+@pytest.mark.parametrize("order", [1.0, 2.0, 3.0, True])
+def test_learner_config_rejects_orders_that_are_not_ints(order):
+    with pytest.raises(ValueError, match="order must be"):
+        LearnerConfig(order=order)
+
+
 # --- search ------------------------------------------------------------------
 
 def test_single_phoneme_has_no_boundary():

@@ -12,9 +12,11 @@ seed 11, cut to 300 utterances, followed by its eight stress utterances of
 Its words are random syllable strings, so it pins behaviour, never
 accuracy.  Each case runs the incremental learner over the fixture with its
 boundaries removed, at one order, phoneme mode and vowel setting, and
-digests one line per utterance: the chosen words and the float.hex of
-their score.  So a change to any segmentation or to any bit of a score
-fails here.  After an intended change, regenerate the digests with
+keeps two digests of one line per utterance: "words" of the chosen words
+alone, and "words_and_scores" of the words and the float.hex of their
+score.  So a change to any segmentation or to any bit of a score fails
+here, and the words are compared first, so a failure says which of the two
+changed.  After an intended change, regenerate the digests with
 
     PYTHONPATH=src python tests/test_stream_golden.py
 
@@ -39,18 +41,22 @@ def _name(order, mode, vowel):
     return f"o{order}-{mode}{'-vowel' if vowel else ''}"
 
 
-def stream_digest(order, mode, vowel):
-    """sha256 of the learner's words and score bits, one line per utterance."""
+def stream_digests(order, mode, vowel):
+    """sha256 of the learner's words, and of its words and score bits, one
+    line per utterance."""
     from segdisc import LearnerConfig, PhonemeMode, new_tables, segment
 
     cfg = LearnerConfig(order=order, phoneme_mode=PhonemeMode(mode), require_vowel=vowel)
     tables = new_tables()
-    digest = hashlib.sha256()
+    words = hashlib.sha256()
+    scored = hashlib.sha256()
     for line in CORPUS.read_text().splitlines():
         seg, score = segment(tables, line.replace(" ", ""), cfg)
         tables.commit(seg.words, cfg.phoneme_mode)
-        digest.update(f"{' '.join(seg.words)}\t{score.hex()}\n".encode())
-    return digest.hexdigest()
+        text = " ".join(seg.words)
+        words.update(f"{text}\n".encode())
+        scored.update(f"{text}\t{score.hex()}\n".encode())
+    return {"words": words.hexdigest(), "words_and_scores": scored.hexdigest()}
 
 
 def test_golden_covers_every_case():
@@ -60,12 +66,15 @@ def test_golden_covers_every_case():
 
 @pytest.mark.parametrize("order,mode,vowel", CASES, ids=[_name(*c) for c in CASES])
 def test_stream_matches_golden(order, mode, vowel):
-    golden = json.loads(GOLDEN.read_text())
-    assert stream_digest(order, mode, vowel) == golden[_name(order, mode, vowel)]
+    expected = json.loads(GOLDEN.read_text())[_name(order, mode, vowel)]
+    got = stream_digests(order, mode, vowel)
+    assert got["words"] == expected["words"], "different words"
+    assert got["words_and_scores"] == expected["words_and_scores"], \
+        "same words, different score bits"
 
 
 if __name__ == "__main__":
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-    digests = {_name(*case): stream_digest(*case) for case in CASES}
+    digests = {_name(*case): stream_digests(*case) for case in CASES}
     GOLDEN.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(digests)} cases to {GOLDEN}")
