@@ -19,7 +19,7 @@ from .phoneme import (SENTINEL, EmptyToken, PhonemeClass, PhonemeInventory,
                       parse_utterance)
 from .segmenter import (LearnerConfig, Segmentation, process_utterance,
                         segment, train_utterance)
-from .tables import CountTables, PhonemeMode, new_tables
+from .tables import CountTables, PhonemeMode
 
 __version__ = "0.1.0"
 
@@ -28,7 +28,7 @@ __all__ = [
     "EmptyToken", "default_inventory", "parse_utterance", "is_vowel_bearing",
     "Corpus", "CorpusError", "Utterance", "load_corpus",
     "save_corpus", "permute", "split_at",
-    "CountTables", "PhonemeMode", "new_tables",
+    "CountTables", "PhonemeMode",
     "p_sigma", "p_unigram", "p_bigram", "p_trigram", "word_score",
     "LearnerConfig", "Segmentation", "segment", "process_utterance",
     "train_utterance",

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .phoneme import PhonemeInventory, default_inventory, parse_utterance
+from .phoneme import parse_utterance
 
 
 class CorpusError(ValueError):
@@ -63,15 +63,13 @@ class Corpus:
         return {w for u in self.utterances for w in u.words}
 
 
-def load_corpus(path, inventory: PhonemeInventory | None = None) -> Corpus:
+def load_corpus(path) -> Corpus:
     """Read a reference corpus, preserving utterance order.
 
     Empty lines are rejected rather than skipped so that transcription
     problems surface early.  All parse errors are wrapped in CorpusError
     with the offending line number.
     """
-    if inventory is None:
-        inventory = default_inventory()
     with open(path, "rb") as handle:
         data = handle.read()
     utterances = []
@@ -79,7 +77,7 @@ def load_corpus(path, inventory: PhonemeInventory | None = None) -> Corpus:
     # line is decoded on its own so a bad byte is reported with its line
     for line_no, line in enumerate(data.splitlines(), start=1):
         try:
-            words = parse_utterance(line.decode("ascii"), inventory)
+            words = parse_utterance(line.decode("ascii"))
         except ValueError as exc:
             raise CorpusError(line_no, exc) from exc
         utterances.append(Utterance.from_words(words))

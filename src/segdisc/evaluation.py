@@ -76,13 +76,14 @@ def score_blocks(pairs, block_size, reference_lexicon, *,
     words predicted so far, audited against `reference_lexicon`, or, with
     seen_reference_only, against only the reference words encountered so
     far.  `initial_lexicon` seeds the learned set, for runs that started
-    with a trained lexicon.
+    with a trained lexicon; those reference words count as encountered.
     """
     if block_size is not None and block_size < 1:
         raise ValueError(f"block_size must be positive, got {block_size}")
     blocks: list[BlockScores] = []
     learned: set[str] = set(initial_lexicon) if initial_lexicon else set()
-    seen_reference: set[str] = set()
+    # the initial lexicon is reference words already seen in training
+    seen_reference = set(learned)
     target = seen_reference if seen_reference_only else reference_lexicon
     correct = predicted = reference = in_block = 0
 
@@ -113,15 +114,13 @@ def score_blocks(pairs, block_size, reference_lexicon, *,
     return blocks
 
 
-def random_baseline(u: str, true_boundary_count: int, rng) -> Segmentation:
+def random_baseline(u: str, true_boundary_count: int, rng: random.Random) -> Segmentation:
     """Place the known number of boundaries uniformly at random.
 
     The baseline is told how many boundaries the utterance has, but not
     where; positions are drawn without replacement from the n-1 internal
-    slots.  `rng` is a random.Random or a seed for one.
+    slots.
     """
-    if isinstance(rng, int):
-        rng = random.Random(rng)
     n = len(u)
     if not 0 <= true_boundary_count <= n - 1:
         raise InfeasibleBoundaryCount(

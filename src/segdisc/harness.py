@@ -175,17 +175,18 @@ def _map_jobs(fn, jobs):
 
 
 def _learn_and_score(corpus, cfg, block_size, reference_lexicon, *, train=(),
-                     baseline=False, rng=None, lexicon_seen_only=False):
+                     rng=None, lexicon_seen_only=False):
     """Commit the reference words of `train`, then make one incremental pass
-    over `corpus`, scoring its predictions in blocks.  The trained words
-    seed the learned lexicon that lexicon precision audits."""
+    over `corpus`, scoring its predictions in blocks; with a random.Random
+    `rng`, score the random baseline instead.  The trained words seed the
+    learned lexicon that lexicon precision audits."""
     tables = CountTables()
     for utterance in train:
         train_utterance(tables, utterance.words, cfg)
 
     def predictions():
         for utterance in corpus:
-            if baseline:
+            if rng is not None:
                 seg = random_baseline(utterance.raw, len(utterance.words) - 1, rng)
             else:
                 seg = process_utterance(tables, utterance.raw, cfg)
@@ -220,7 +221,7 @@ def _permute_job(args):
     ordered = corpus if no_permute else permute(corpus, seed)
     rng = random.Random(seed) if baseline else None
     blocks = _learn_and_score(ordered, cfg, block_size, corpus.lexicon(),
-                              baseline=baseline, rng=rng, lexicon_seen_only=seen_only)
+                              rng=rng, lexicon_seen_only=seen_only)
     return run_id, tuple(blocks)
 
 
@@ -247,8 +248,8 @@ def run_eval(spec: ExperimentSpec) -> PermuteAverageResult:
                          f"of {len(corpus)}; lower --train-frac")
     rng = random.Random(spec.base_seed) if spec.baseline else None
     blocks = _learn_and_score(test, spec.learner_config(), spec.block_size or 500,
-                              corpus.lexicon(), train=train, baseline=spec.baseline,
-                              rng=rng, lexicon_seen_only=spec.lexicon_seen_only)
+                              corpus.lexicon(), train=train, rng=rng,
+                              lexicon_seen_only=spec.lexicon_seen_only)
     per_run = ((0, tuple(blocks)),)
     return PermuteAverageResult(per_run, _summarize_blocks(per_run))
 
@@ -508,18 +509,75 @@ def _write_matrix(spec, cells, out, report):
                          f"{cell.lexicon_precision:.4f}"])
 
 
-# command -> (name of its run_* function, writer).  The run function is
-# looked up by name each time a command runs, so a wrapper installed on
-# the module attribute (a profiler's timer, a test double) sees the call.
+# Every flag any command takes, as add_argument keywords.  A help text
+# with %(default)s shows the default of the command that takes the flag.
+_FLAGS = {
+    "--corpus": dict(dest="corpus_path", required=True, metavar="PATH",
+                     help="reference corpus file, one utterance per line"),
+    "--order": dict(type=int, choices=(1, 2, 3), default=1,
+                    help="n-gram model order (default 1)"),
+    "--phoneme-mode": dict(choices=[m.value for m in PhonemeMode],
+                           default=PhonemeMode.LEXICON.value,
+                           help="how phoneme frequencies are learned (default lexicon)"),
+    "--require-vowel": dict(action="store_true",
+                            help="only consider words containing a vowel"),
+    "--out": dict(dest="out_path", metavar="PATH",
+                  help="write primary output to PATH instead of stdout"),
+    "--runs": dict(type=int, help="number of runs to average (default %(default)s)"),
+    "--seed": dict(dest="base_seed", type=int, default=0,
+                   help="base seed; run r uses seed+r (default 0)"),
+    "--block-size": dict(type=int,
+                         help="utterances per scoring block (default %(default)s)"),
+    "--lexicon-seen-only": dict(action="store_true",
+                                help="audit the learned lexicon against reference words "
+                                     "seen so far, training words included, instead of "
+                                     "the full reference lexicon"),
+    "--train-frac": dict(dest="train_fraction", type=float, default=0.0,
+                         help="initial corpus fraction committed as training (default 0)"),
+    "--baseline-random": dict(dest="baseline", action="store_true",
+                              help="score the boundary-count-aware random baseline instead"),
+    "--no-permute": dict(action="store_true", help="keep corpus order in every run"),
+    "--sweep-step": dict(type=int, default=100,
+                         help="training-set increment in utterances (default 100)"),
+    "--sweep-cap": dict(type=float, default=0.75,
+                        help="largest training fraction (default 0.75)"),
+}
+
+_MODEL = ("--order", "--phoneme-mode", "--require-vowel", "--out")
+_RUNS = ("--runs", "--seed")
+
+# command -> (help, name of its run_* function, writer, the flags the two
+# read, the defaults the command gives them).  The run function is looked
+# up by name each time a command runs, so a wrapper installed on the module
+# attribute (a profiler's timer, a test double) sees the call.
 _COMMANDS = {
-    "segment": ("run_segment", _write_segmentations),
-    "eval": ("run_eval", _write_blocks),
-    "permute-average": ("run_permute_average", _write_blocks),
-    "train-sweep": ("run_train_sweep", _write_sweep),
-    "fully-trained": ("run_fully_trained", _write_mismatches),
-    "scenario-damn-british": ("run_damn_british", _write_scenario),
-    "lexicon-growth": ("run_lexicon_growth", _write_growth),
-    "phoneme-modes": ("run_phoneme_mode_matrix", _write_matrix),
+    "segment": ("segment a corpus incrementally, print the result",
+                "run_segment", _write_segmentations, ("--corpus", *_MODEL), {}),
+    "eval": ("single run in corpus order, scored in blocks",
+             "run_eval", _write_blocks,
+             ("--corpus", *_MODEL, "--seed", "--block-size", "--lexicon-seen-only",
+              "--train-frac", "--baseline-random"),
+             {"block_size": 500}),
+    "permute-average": ("average runs over corpus permutations",
+                        "run_permute_average", _write_blocks,
+                        ("--corpus", *_MODEL, *_RUNS, "--block-size", "--lexicon-seen-only",
+                         "--no-permute", "--baseline-random"),
+                        {"runs": 50, "block_size": 100}),
+    "train-sweep": ("sweep supervised training amounts",
+                    "run_train_sweep", _write_sweep,
+                    ("--corpus", *_MODEL, *_RUNS, "--lexicon-seen-only",
+                     "--sweep-step", "--sweep-cap"),
+                    {"runs": 25}),
+    "fully-trained": ("train on the whole corpus, test on a second copy",
+                      "run_fully_trained", _write_mismatches, ("--corpus", *_MODEL), {}),
+    "scenario-damn-british": ("isolated-evidence threshold for splitting a fused word",
+                              "run_damn_british", _write_scenario, _MODEL, {}),
+    "lexicon-growth": ("lexicon size against tokens processed",
+                       "run_lexicon_growth", _write_growth,
+                       ("--corpus", *_MODEL, *_RUNS, "--no-permute"), {"runs": 1}),
+    "phoneme-modes": ("orders 1-3 crossed with phoneme modes, whole-corpus scores",
+                      "run_phoneme_mode_matrix", _write_matrix,
+                      ("--corpus", "--require-vowel", "--out", "--lexicon-seen-only"), {}),
 }
 
 
@@ -530,7 +588,7 @@ def _run_command(spec: ExperimentSpec) -> int:
     table or fit) on stdout, or, without an output path, to stdout with the
     report on stderr.  The file is opened only once the run has succeeded.
     """
-    run_name, write = _COMMANDS[spec.command]
+    _, run_name, write, _, _ = _COMMANDS[spec.command]
     result = globals()[run_name](spec)
     if spec.out_path:
         with open(spec.out_path, "w", encoding="utf-8", newline="") as out:
@@ -556,93 +614,18 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="segdisc",
                      description="Incremental word discovery in unsegmented phonemic utterances.")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    def add_model_args(p):
-        p.add_argument("--order", type=int, choices=(1, 2, 3), default=1,
-                       help="n-gram model order (default 1)")
-        p.add_argument("--phoneme-mode", choices=[m.value for m in PhonemeMode],
-                       default=PhonemeMode.LEXICON.value,
-                       help="how phoneme frequencies are learned (default lexicon)")
-        p.add_argument("--require-vowel", action="store_true",
-                       help="only consider words containing a vowel")
-        p.add_argument("--out", dest="out_path", metavar="PATH",
-                       help="write primary output to PATH instead of stdout")
-
-    def add_corpus_arg(p):
-        p.add_argument("--corpus", dest="corpus_path", required=True, metavar="PATH",
-                       help="reference corpus file, one utterance per line")
-
-    def add_run_args(p, default_runs, default_block=None):
-        p.add_argument("--runs", type=int, default=default_runs,
-                       help=f"number of runs to average (default {default_runs})")
-        p.add_argument("--seed", dest="base_seed", type=int, default=0,
-                       help="base seed; run r uses seed+r (default 0)")
-        if default_block is not None:
-            p.add_argument("--block-size", type=int, default=default_block,
-                           help=f"utterances per scoring block (default {default_block})")
-        p.add_argument("--lexicon-seen-only", action="store_true",
-                       help="audit the learned lexicon against reference words seen so far "
-                            "instead of the full reference lexicon")
-
-    p = sub.add_parser("segment", help="segment a corpus incrementally, print the result")
-    add_corpus_arg(p)
-    add_model_args(p)
-
-    p = sub.add_parser("eval", help="single run in corpus order, scored in blocks")
-    add_corpus_arg(p)
-    add_model_args(p)
-    add_run_args(p, default_runs=1, default_block=500)
-    p.add_argument("--train-frac", dest="train_fraction", type=float, default=0.0,
-                   help="initial corpus fraction committed as training (default 0)")
-    p.add_argument("--baseline-random", dest="baseline", action="store_true",
-                   help="score the boundary-count-aware random baseline instead")
-
-    p = sub.add_parser("permute-average", help="average runs over corpus permutations")
-    add_corpus_arg(p)
-    add_model_args(p)
-    add_run_args(p, default_runs=50, default_block=100)
-    p.add_argument("--no-permute", action="store_true",
-                   help="keep corpus order in every run")
-    p.add_argument("--baseline-random", dest="baseline", action="store_true",
-                   help="score the boundary-count-aware random baseline instead")
-
-    p = sub.add_parser("train-sweep", help="sweep supervised training amounts")
-    add_corpus_arg(p)
-    add_model_args(p)
-    add_run_args(p, default_runs=25)
-    p.add_argument("--sweep-step", type=int, default=100,
-                   help="training-set increment in utterances (default 100)")
-    p.add_argument("--sweep-cap", type=float, default=0.75,
-                   help="largest training fraction (default 0.75)")
-
-    p = sub.add_parser("fully-trained",
-                       help="train on the whole corpus, test on a second copy")
-    add_corpus_arg(p)
-    add_model_args(p)
-
-    p = sub.add_parser("scenario-damn-british",
-                       help="isolated-evidence threshold for splitting a fused word")
-    add_model_args(p)
-
-    p = sub.add_parser("lexicon-growth", help="lexicon size against tokens processed")
-    add_corpus_arg(p)
-    add_model_args(p)
-    add_run_args(p, default_runs=1)
-    p.add_argument("--no-permute", action="store_true",
-                   help="keep corpus order in every run")
-
-    p = sub.add_parser("phoneme-modes",
-                       help="orders 1-3 crossed with phoneme modes, whole-corpus scores")
-    add_corpus_arg(p)
-    add_model_args(p)
-    add_run_args(p, default_runs=1)
-
+    for name, (summary, _, _, flags, defaults) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(**defaults)
     return parser
 
 
 def _spec_from_args(args) -> ExperimentSpec:
     values = {name: value for name, value in vars(args).items() if value is not None}
-    values["phoneme_mode"] = PhonemeMode(values["phoneme_mode"])
+    if "phoneme_mode" in values:
+        values["phoneme_mode"] = PhonemeMode(values["phoneme_mode"])
     return ExperimentSpec(**values)
 
 

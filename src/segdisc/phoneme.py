@@ -92,7 +92,7 @@ def default_inventory() -> PhonemeInventory:
     return PhonemeInventory()
 
 
-def parse_utterance(line: str, inventory: PhonemeInventory | None = None) -> list[str]:
+def parse_utterance(line: str) -> list[str]:
     """Split one corpus line into words, validating every character.
 
     The trailing newline, if present, is dropped.  Words must be separated
@@ -102,8 +102,7 @@ def parse_utterance(line: str, inventory: PhonemeInventory | None = None) -> lis
     Raises UnknownPhoneme for a character outside the alphabet, EmptyToken
     for doubled, leading or trailing spaces and for an empty line.
     """
-    if inventory is None:
-        inventory = default_inventory()
+    inventory = default_inventory()
     line = line.removesuffix("\n")
     words = []
     pos = 0
@@ -116,11 +115,10 @@ def parse_utterance(line: str, inventory: PhonemeInventory | None = None) -> lis
     return words
 
 
-def is_vowel_bearing(word: str, inventory: PhonemeInventory | None = None) -> bool:
+def is_vowel_bearing(word: str) -> bool:
     """True if the word contains at least one vowel or r-colored vowel.
 
     Syllabic consonants ('L', 'M', '~') do not count.
     """
-    if inventory is None:
-        inventory = default_inventory()
+    inventory = default_inventory()
     return any(inventory.is_vowel(ch) for ch in word)

@@ -7,7 +7,8 @@ scores words through the one log-domain back-off chain of
 `estimator.UtteranceScorer`: it gives each substring's unigram cost and
 the lexicon words among them, and the chain is called only for those.  A
 word u[j:i] may start at any j < limit[i], the start bound: one past the
-last vowel before i under the vowel rule, i without it.
+last vowel before i under the vowel rule, i without it.  Under the rule an
+utterance without a vowel has limit[n] = 1, so it is read as one word.
 
 `commit` counts every token, so only lexicon words occur in a seen bigram
 or trigram, and each search keeps per position only the history states
@@ -51,7 +52,7 @@ import math
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .estimator import UtteranceScorer, check_order, word_score
+from .estimator import UtteranceScorer, check_order
 from .tables import CountTables, PhonemeMode
 
 _INF = math.inf
@@ -108,22 +109,24 @@ def segment(tables: CountTables, u: str, cfg: LearnerConfig) -> tuple[Segmentati
 
     The tables are only read.  With require_vowel set, words without a
     vowel are excluded from consideration; if the whole utterance has no
-    vowel it is returned as a single word so the search stays feasible.
-    A symbol outside the phoneme inventory raises UnknownPhoneme.
+    vowel, the start bound admits only the whole utterance as one word, so
+    the search stays feasible and scores it as any one-word reading.  A
+    symbol outside the phoneme inventory raises UnknownPhoneme.
     """
     if not u:
         raise ValueError("cannot segment an empty utterance")
     tables.inventory.check(u)
     n = len(u)
     # the start bound: a word u[j:i] may be read for every j < limit[i],
-    # which under the vowel rule is one past the last vowel before i
+    # which under the vowel rule is one past the last vowel before i; an
+    # utterance without a vowel may only be read whole
     limit = range(n + 1)
     if cfg.require_vowel:
         is_vowel = tables.inventory.is_vowel
         limit = list(accumulate((i if is_vowel(ch) else 0 for i, ch in enumerate(u, 1)),
                                 max, initial=0))
         if not limit[n]:
-            return Segmentation.from_words((u,)), word_score(tables, (), u, cfg.order)
+            limit[n] = 1
 
     scorer = UtteranceScorer(tables, u)
     if cfg.order == 1:

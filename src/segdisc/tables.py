@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .phoneme import SENTINEL, PhonemeInventory, default_inventory
+from .phoneme import SENTINEL, default_inventory
 
 
 class PhonemeMode(str, Enum):
@@ -45,10 +45,8 @@ class CountTables:
                  "phoneme_total", "n1", "n2", "n3", "s1", "s2", "s3",
                  "max_word_len", "score_cache")
 
-    def __init__(self, inventory: PhonemeInventory | None = None):
-        if inventory is None:
-            inventory = default_inventory()
-        self.inventory = inventory
+    def __init__(self):
+        self.inventory = inventory = default_inventory()
         self.unigrams: dict[str, int] = {}
         self.bigrams: dict[tuple[str, str], int] = {}
         self.trigrams: dict[tuple[str, str, str], int] = {}
@@ -137,8 +135,3 @@ class CountTables:
             stream.write(f"trigram\t{a} {b} {w}\t{c}\n")
         for p, c in sorted(self.phonemes.items()):
             stream.write(f"phoneme\t{'<end>' if p == SENTINEL else p}\t{c}\n")
-
-
-def new_tables(inventory: PhonemeInventory | None = None) -> CountTables:
-    """Fresh tables: empty n-gram counts, uniform phoneme pseudo-counts."""
-    return CountTables(inventory)

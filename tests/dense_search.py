@@ -7,8 +7,10 @@ keep a back-pointer per cell, and resolve ties by a strict `<` scan.  All
 three slice every word from the utterance and score it through the chain's
 uni, bi and tri, so none reads the scorer's cost table or lexicon starts.
 The production searches must return the same words and the same score
-bits; `tests/test_search_oracle.py` checks that by substituting these for
-the production ones in `segment`.
+bits; `tests/test_search_oracle.py` checks that through its `dense_segment`,
+which calls these searches directly, with its own vowel test on each word
+in place of the production start bound, and compares the result with
+`segment`'s.
 """
 
 import math

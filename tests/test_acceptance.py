@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 from segdisc import (CountTables, LearnerConfig, PhonemeMode, Segmentation,
-                     load_corpus, new_tables, p_sigma, p_unigram,
+                     load_corpus, p_sigma, p_unigram,
                      process_utterance, random_baseline, score_blocks,
                      score_utterance, segment, train_utterance, word_score)
 from segdisc.harness import ExperimentSpec, run_damn_british, run_lexicon_growth
@@ -73,7 +73,7 @@ def test_criterion_2_search_matches_enumeration():
     pool = ["a", "b", "ab", "ba", "aab", "bb", "abab"]
     checked = 0
     for trial in range(210):
-        tables = new_tables()
+        tables = CountTables()
         for _ in range(rng.randint(0, 10)):
             tables.commit(rng.choices(pool, k=rng.randint(1, 5)),
                           rng.choice(list(PhonemeMode)))
@@ -95,7 +95,7 @@ def test_criterion_3_estimator_identities():
     rng = random.Random(77)
     pool = ["a", "b", "ab", "tu", "mi", "lUk"]
     for _ in range(100):
-        tables = new_tables()
+        tables = CountTables()
         for _ in range(rng.randint(1, 25)):
             tables.commit(rng.choices(pool, k=rng.randint(1, 4)),
                           rng.choice(list(PhonemeMode)))
@@ -103,7 +103,7 @@ def test_criterion_3_estimator_identities():
         escape = F(tables.n1, tables.n1 + tables.s1)
         assert familiar + escape == 1  # exact, in rationals
 
-    tables = new_tables()
+    tables = CountTables()
     symbols = tables.inventory.symbols
     f_sentinel = F(1, len(symbols) + 1)
     total = 0.0

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from segdisc import (SENTINEL, PhonemeMode, UnknownPhoneme, default_inventory,
-                     new_tables, p_bigram, p_sigma, p_trigram, p_unigram,
+from segdisc import (SENTINEL, CountTables, PhonemeMode, UnknownPhoneme,
+                     default_inventory, p_bigram, p_sigma, p_trigram, p_unigram,
                      word_score)
 from segdisc.estimator import UtteranceScorer
 
@@ -15,7 +15,7 @@ EVENTS = 51  # 50 phonemes plus the sentinel
 
 
 def damn_british_tables(isolated=7):
-    t = new_tables()
+    t = CountTables()
     t.commit(["D&mbrItIS"])
     t.commit(["D&m"])
     t.commit(["D&m"])
@@ -27,7 +27,7 @@ def damn_british_tables(isolated=7):
 # --- spelling model ---------------------------------------------------------
 
 def test_sigma_uniform_single_phoneme():
-    t = new_tables()
+    t = CountTables()
     # oracle: uniform pseudo-counts, f = 1/51 per event
     expected = (F(1, EVENTS) / (1 - F(1, EVENTS))) * F(1, EVENTS)
     assert expected == F(1, 2550)
@@ -36,7 +36,7 @@ def test_sigma_uniform_single_phoneme():
 
 
 def test_sigma_uniform_two_phonemes():
-    t = new_tables()
+    t = CountTables()
     expected = (F(1, EVENTS) / (1 - F(1, EVENTS))) * F(1, EVENTS) ** 2
     assert expected == F(1, 130050)
     assert p_sigma(t, "tu") == pytest.approx(float(expected), rel=1e-12)
@@ -46,7 +46,7 @@ def test_sigma_uniform_two_phonemes():
 def test_sigma_partial_sums_geometric():
     # enumerate every word of length 1..3: the mass must follow the
     # geometric identity 1 - (1 - f(sentinel))^L
-    t = new_tables()
+    t = CountTables()
     symbols = t.inventory.symbols
     f_sent = F(1, EVENTS)
     total = 0.0
@@ -59,13 +59,13 @@ def test_sigma_partial_sums_geometric():
 
 
 def test_sigma_exact_sums_to_one_at_length_one():
-    t = new_tables()
+    t = CountTables()
     mass = sum(p_sigma(t, ch, exact=True) for ch in t.inventory.symbols)
     assert mass == 1 - (1 - F(1, EVENTS)) ** 1
 
 
 def test_sigma_reflects_learned_phonemes():
-    t = new_tables()
+    t = CountTables()
     t.commit(["tu"])
     # counts: t=2, u=2, sentinel=2, total 54
     assert p_sigma(t, "t", exact=True) == F(2, 54 - 2) * F(2, 54)
@@ -81,7 +81,7 @@ def test_unigram_familiar_damn_british_values():
 
 
 def test_unigram_empty_tables_is_sigma():
-    t = new_tables()
+    t = CountTables()
     assert p_unigram(t, "lUk") == p_sigma(t, "lUk")
     assert p_unigram(t, "a", exact=True) == p_sigma(t, "a", exact=True)
 
@@ -97,7 +97,7 @@ def test_unigram_escape_identity_exact():
     rng = random.Random(5)
     pool = ["a", "b", "ab", "tu", "mi", "lUk", "ba"]
     for _ in range(50):
-        t = new_tables()
+        t = CountTables()
         for _ in range(rng.randint(1, 30)):
             t.commit(rng.choices(pool, k=rng.randint(1, 4)))
         familiar_mass = sum(p_unigram(t, w, exact=True) for w in t.unigrams)
@@ -115,7 +115,7 @@ def test_unigram_monotone_in_count():
 # --- bigram -----------------------------------------------------------------
 
 def test_bigram_familiar_pair():
-    t = new_tables()
+    t = CountTables()
     t.commit(["a", "b"])
     # N2=1, S2=1, C(a,b)=1, C(a)=1
     assert p_bigram(t, "a", "b", exact=True) == F(1, 2)
@@ -123,19 +123,19 @@ def test_bigram_familiar_pair():
 
 
 def test_bigram_unseen_pair_backs_off():
-    t = new_tables()
+    t = CountTables()
     t.commit(["a", "b"])
     assert p_bigram(t, "b", "a", exact=True) == F(1, 2) * p_unigram(t, "a", exact=True)
 
 
 def test_bigram_empty_tables_is_unigram():
-    t = new_tables()
+    t = CountTables()
     t.commit(["a"])  # unigram counts exist, no bigrams at all
     assert p_bigram(t, "a", "a") == p_unigram(t, "a")
 
 
 def test_bigram_divides_by_conditioning_word_count():
-    t = new_tables()
+    t = CountTables()
     t.commit(["a", "b"])
     t.commit(["a"])  # C(a)=2 now, pair count still 1
     assert p_bigram(t, "a", "b", exact=True) == F(1, 2) * F(1, 2)
@@ -144,20 +144,20 @@ def test_bigram_divides_by_conditioning_word_count():
 # --- trigram ----------------------------------------------------------------
 
 def test_trigram_familiar_triple():
-    t = new_tables()
+    t = CountTables()
     t.commit(["a", "b", "i"])
     # N3=S3=1, C(a,b,i)=1, C(a,b)=1
     assert p_trigram(t, "a", "b", "i", exact=True) == F(1, 2)
 
 
 def test_trigram_empty_table_backs_off_to_bigram():
-    t = new_tables()
+    t = CountTables()
     t.commit(["a", "b"])
     assert p_trigram(t, "b", "a", "b") == p_bigram(t, "a", "b")
 
 
 def test_trigram_unseen_triple_gets_escape():
-    t = new_tables()
+    t = CountTables()
     t.commit(["a", "b", "i"])
     expected = F(1, 2) * p_bigram(t, "b", "a", exact=True)
     assert p_trigram(t, "i", "b", "a", exact=True) == expected
@@ -172,14 +172,14 @@ def test_word_score_matches_probabilities():
 
 
 def test_word_score_empty_tables_order3_is_sigma():
-    t = new_tables()
+    t = CountTables()
     for word in ("a", "tu", "lUk"):
         assert word_score(t, ("x", "y"), word, 3) == pytest.approx(
             -math.log(p_sigma(t, word)), rel=1e-12)
 
 
 def test_word_score_utterance_initial_falls_back():
-    t = new_tables()
+    t = CountTables()
     t.commit(["a", "b"])
     assert word_score(t, (), "a", 2) == word_score(t, (), "a", 1)
     assert word_score(t, (), "a", 3) == word_score(t, (), "a", 1)
@@ -188,7 +188,7 @@ def test_word_score_utterance_initial_falls_back():
 
 def test_word_score_follows_commits():
     # word_score keeps one chain per table state; every commit must retire it
-    t = new_tables()
+    t = CountTables()
     for words in (["ab"], ["ab", "a"], ["a", "b", "ab"], ["ab", "a", "b"]):
         word_score(t, ("ab", "a"), "b", 3)
         t.commit(words)
@@ -201,14 +201,14 @@ def test_word_score_follows_commits():
 
 
 def test_word_score_rejects_bad_order():
-    t = new_tables()
+    t = CountTables()
     with pytest.raises(ValueError):
         word_score(t, (), "a", 4)
 
 
 @pytest.mark.parametrize("order", [1.0, 2.0, 3.0, True])
 def test_word_score_rejects_orders_that_are_not_ints(order):
-    t = new_tables()
+    t = CountTables()
     t.commit(["ab", "ba"])
     with pytest.raises(ValueError, match="order must be"):
         word_score(t, ("ab",), "ba", order)
@@ -216,7 +216,7 @@ def test_word_score_rejects_orders_that_are_not_ints(order):
 
 def test_word_score_rejects_empty_word():
     # the spelling model normalizes over non-empty strings: "" has no mass
-    t = new_tables()
+    t = CountTables()
     for order in (1, 2, 3):
         with pytest.raises(ValueError, match="empty word"):
             word_score(t, (), "", order)
@@ -228,7 +228,7 @@ def test_word_score_rejects_empty_word():
 @pytest.mark.parametrize("word,symbol,position", [
     ("abé", "é", 2), ("a" + SENTINEL, SENTINEL, 1), (SENTINEL, SENTINEL, 0)])
 def test_word_score_rejects_symbols_outside_inventory(word, symbol, position):
-    t = new_tables()
+    t = CountTables()
     t.commit(["ab", "a"])
     for order in (1, 2, 3):
         with pytest.raises(UnknownPhoneme) as info:
@@ -242,7 +242,7 @@ def test_word_score_finite_for_random_states():
     symbols = default_inventory().symbols
     pool = ["a", "b", "ab", "tu", "mi"]
     for _ in range(100):
-        t = new_tables()
+        t = CountTables()
         for _ in range(rng.randint(0, 8)):
             t.commit(rng.choices(pool, k=rng.randint(1, 4)),
                      rng.choice(list(PhonemeMode)))
@@ -254,7 +254,7 @@ def test_word_score_finite_for_random_states():
 
 
 def test_word_score_long_novel_word_does_not_underflow():
-    t = new_tables()
+    t = CountTables()
     word = "a" * 500  # product-space probability would be 0.0 in a float
     score = word_score(t, (), word, 1)
     assert math.isfinite(score)
@@ -302,7 +302,7 @@ def test_spelling_pass_random_states(mode):
     rng = random.Random(f"spelling-{mode.value}")
     pool = ["a", "b", "ab", "ba", "aab", "bI", "tIb", "Ita", "kEt"]
     for _ in range(60):
-        t = new_tables()
+        t = CountTables()
         for _ in range(rng.randint(0, 12)):
             t.commit(rng.choices(pool, k=rng.randint(1, 5)), mode)
         u = "".join(rng.choices("abItkE", k=rng.randint(1, 24)))
@@ -311,7 +311,7 @@ def test_spelling_pass_random_states(mode):
 
 def test_spelling_pass_empty_tables():
     # nothing observed: no escape term, the spelling model alone
-    t = new_tables()
+    t = CountTables()
     assert_pass_is_bit_identical(t, "D&mbrItIS")
     assert UtteranceScorer(t, "D&mbrItIS").starts == [{}] * 10
 
@@ -331,7 +331,7 @@ def test_spelling_pass_words_as_long_as_the_longest(u):
 def test_spelling_pass_long_novel_utterance():
     rng = random.Random(200)
     symbols = default_inventory().symbols
-    t = new_tables()
+    t = CountTables()
     for _ in range(30):
         t.commit(["".join(rng.choices(symbols, k=rng.randint(1, 5)))], PhonemeMode.SPEECH)
     u = "".join(rng.choices(symbols, k=200))
@@ -341,7 +341,7 @@ def test_spelling_pass_long_novel_utterance():
 
 
 def test_spelling_pass_repeated_substrings():
-    t = new_tables()
+    t = CountTables()
     t.commit(["ab", "ba", "ab"])
     t.commit(["abab"], PhonemeMode.SPEECH)
     assert_pass_is_bit_identical(t, "ab" * 20)

@@ -87,7 +87,7 @@ def test_learner_beats_known_count_baseline(tmp_path):
     assert model_block.recall > baseline_block.recall + 20
 
 
-def test_fully_trained_flags_inconsistent_transcription(tmp_path):
+def test_fully_trained_flags_inconsistent_transcription(tmp_path, capsys):
     # "dOghQs" fused once but transcribed as two words everywhere else:
     # after training, the familiar parts outweigh the rare fused form and
     # the fused utterance is the only error
@@ -100,6 +100,10 @@ def test_fully_trained_flags_inconsistent_transcription(tmp_path):
     assert miss.index == 7
     assert miss.target == ("In", "D6", "dOghQs")
     assert miss.predicted == ("In", "D6", "dOg", "hQs")
+    out = tmp_path / "errors.tsv"
+    assert main(["fully-trained", "--corpus", str(path), "--out", str(out)]) == 0
+    assert out.read_text() == "index\tpredicted\ttarget\n7\tIn D6 dOg hQs\tIn D6 dOghQs\n"
+    assert "1 of 7 utterances in error" in capsys.readouterr().out
 
 
 # --- eval and permute-average ------------------------------------------------
@@ -295,10 +299,23 @@ def test_cli_bad_flag_exits_1(capsys):
     assert err.value.code == 1
 
 
+@pytest.mark.parametrize("command,flag", [
+    ("eval", "--runs=2"), ("phoneme-modes", "--order=2"),
+    ("phoneme-modes", "--phoneme-mode=speech"), ("phoneme-modes", "--runs=2"),
+    ("phoneme-modes", "--seed=3"), ("lexicon-growth", "--lexicon-seen-only")])
+def test_cli_flag_the_command_does_not_read_exits_1(sample_path, capsys, command, flag):
+    with pytest.raises(SystemExit) as err:
+        main([command, "--corpus", str(sample_path), flag])
+    assert err.value.code == 1
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
 def test_cli_invalid_config_exits_1(sample_path, capsys):
     assert main(["permute-average", "--corpus", str(sample_path), "--runs", "0"]) == 1
     assert main(["eval", "--corpus", str(sample_path), "--block-size", "0"]) == 1
     assert main(["eval", "--corpus", str(sample_path), "--train-frac", "1.5"]) == 1
+    assert main(["train-sweep", "--corpus", str(sample_path), "--sweep-step", "0"]) == 1
+    assert main(["train-sweep", "--corpus", str(sample_path), "--sweep-cap", "1.5"]) == 1
     assert "error" in capsys.readouterr().err
 
 

@@ -87,13 +87,13 @@ def test_parse_round_trips(words):
     assert " ".join(parse_utterance(line + "\n")) == line
 
 
-@given(st.characters(codec="ascii"))
-def test_every_ascii_char_parses_or_raises(ch):
-    if ch in INVENTORY:
-        assert parse_utterance(ch) == [ch]
-    else:
-        with pytest.raises((UnknownPhoneme, EmptyToken)):
-            parse_utterance(ch)
+def test_every_ascii_char_parses_or_raises():
+    for ch in map(chr, range(128)):
+        if ch in INVENTORY:
+            assert parse_utterance(ch) == [ch]
+        else:
+            with pytest.raises((UnknownPhoneme, EmptyToken)):
+                parse_utterance(ch)
 
 
 def test_vowel_bearing():

@@ -13,8 +13,8 @@ from pathlib import Path
 import pytest
 
 import dense_search
-from segdisc import (LearnerConfig, PhonemeMode, Segmentation, default_inventory,
-                     is_vowel_bearing, new_tables, segment, word_score)
+from segdisc import (CountTables, LearnerConfig, PhonemeMode, Segmentation,
+                     default_inventory, is_vowel_bearing, segment, word_score)
 from segdisc.estimator import UtteranceScorer
 
 STREAM = Path(__file__).parent / "fixtures" / "synthetic308.txt"
@@ -32,11 +32,11 @@ def dense_segment(tables, u, cfg):
     """
     allowed = None
     if cfg.require_vowel:
-        if not is_vowel_bearing(u, tables.inventory):
+        if not is_vowel_bearing(u):
             return Segmentation.from_words((u,)), word_score(tables, (), u, cfg.order)
 
         def allowed(start, end):
-            return is_vowel_bearing(u[start:end], tables.inventory)
+            return is_vowel_bearing(u[start:end])
 
     scorer = UtteranceScorer(tables, u)
     if cfg.order == 1:
@@ -67,14 +67,14 @@ def test_incremental_stream_matches_dense_search(order, mode, require_vowel):
     if a golden stream digest fails while this passes, the platform's
     math.log differs in a last bit, and the search is not at fault."""
     cfg = LearnerConfig(order=order, phoneme_mode=mode, require_vowel=require_vowel)
-    tables = new_tables()
+    tables = CountTables()
     for line in STREAM.read_text().splitlines():
         seg = assert_same_as_oracle(tables, line.replace(" ", ""), cfg)
         tables.commit(seg.words, cfg.phoneme_mode)
 
 
 def random_tables(rng, mode):
-    t = new_tables()
+    t = CountTables()
     for _ in range(rng.randint(0, 10)):
         t.commit(rng.choices(POOL, k=rng.randint(1, 5)), mode)
     return t
@@ -98,7 +98,7 @@ def test_long_utterances_over_a_dense_lexicon_match_dense_search(order):
     # after these commits nearly every substring of up to three phonemes
     # is a lexicon word, so nearly every history is scored on its own
     rng = random.Random(order)
-    t = new_tables()
+    t = CountTables()
     for _ in range(40):
         t.commit(rng.choices(POOL, k=rng.randint(1, 6)))
     for n in (30, 45, 60):
@@ -117,7 +117,7 @@ def test_long_utterances_over_a_sparse_lexicon_match_dense_search(order):
     rng = random.Random(10 + order)
     lexicon = ["".join(rng.choices(alphabet, k=rng.randint(1, 3))) for _ in range(12)]
     for mode in (PhonemeMode.LEXICON, PhonemeMode.SPEECH):
-        t = new_tables()
+        t = CountTables()
         for _ in range(30):
             t.commit(rng.choices(lexicon, k=rng.randint(1, 5)), mode)
         for n in (40, 50, 60):
@@ -144,7 +144,7 @@ VOWEL_EDGES = ["a", "b", "abtbtbt", "btbtbta", "btbabtb", "btbtbt", "abtbtbtbtbt
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_vowel_rule_edges_match_dense_search(order, u):
     for mode in PhonemeMode:
-        t = new_tables()
+        t = CountTables()
         for words in [("ab", "bt"), ("b", "ab"), ("bt", "b", "ab"), ("bIb", "t"),
                       ("tb", "a"), ("a", "b", "t"), ("bt", "b", "ab")]:
             t.commit(words, mode)
@@ -162,7 +162,7 @@ def test_shared_state_is_scored_without_the_first_word(order):
     # Scoring "t" after the shared state of "a aa" as if after "aaa" would
     # undercut every real reading.
     mode = PhonemeMode.SPEECH
-    t = new_tables()
+    t = CountTables()
     for _ in range(200):
         t.commit(["a"], mode)
     for w in "pmdnkgNfvTDszSZ":
@@ -200,7 +200,7 @@ def reading_score(tables, words, order, end=None):
 ])
 def test_rounding_near_ties_keep_the_dense_choice(commits, mode, u, order, end,
                                                   expected, rival):
-    t = new_tables()
+    t = CountTables()
     for words in commits:
         t.commit(words, mode)
     prefix = reading_score(t, expected, order, end)

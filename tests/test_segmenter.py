@@ -3,9 +3,9 @@ import random
 
 import pytest
 
-from segdisc import (SENTINEL, LearnerConfig, PhonemeMode, Segmentation,
-                     UnknownPhoneme, is_vowel_bearing, new_tables,
-                     process_utterance, segment, train_utterance, word_score)
+from segdisc import (SENTINEL, CountTables, LearnerConfig, PhonemeMode, Segmentation,
+                     UnknownPhoneme, is_vowel_bearing, process_utterance, segment,
+                     train_utterance, word_score)
 
 
 def all_segmentations(u):
@@ -35,7 +35,7 @@ def exhaustive_minimum(tables, u, cfg):
 
 def random_tables(rng):
     pool = ["a", "b", "ab", "ba", "aab", "bb", "aba"]
-    t = new_tables()
+    t = CountTables()
     for _ in range(rng.randint(0, 10)):
         t.commit(rng.choices(pool, k=rng.randint(1, 5)),
                  rng.choice(list(PhonemeMode)))
@@ -65,6 +65,8 @@ def test_segmentation_rejects_bad_input():
         Segmentation.from_boundaries("abc", (3,))
     with pytest.raises(ValueError):
         Segmentation.from_boundaries("abc", (2, 1))
+    with pytest.raises(ValueError):
+        Segmentation.from_boundaries("", ())
 
 
 def test_learner_config_validates_order():
@@ -81,14 +83,14 @@ def test_learner_config_rejects_orders_that_are_not_ints(order):
 # --- search ------------------------------------------------------------------
 
 def test_single_phoneme_has_no_boundary():
-    t = new_tables()
+    t = CountTables()
     seg, score = segment(t, "a", LearnerConfig(order=1))
     assert seg.words == ("a",)
     assert score == word_score(t, (), "a", 1)
 
 
 def test_first_utterance_commits_whole_word():
-    t = new_tables()
+    t = CountTables()
     seg = process_utterance(t, "D&mbrItIS", LearnerConfig(order=1))
     assert seg.words == ("D&mbrItIS",)
     assert t.unigrams == {"D&mbrItIS": 1}
@@ -96,7 +98,7 @@ def test_first_utterance_commits_whole_word():
 
 def test_damn_british_splits_at_seven():
     cfg = LearnerConfig(order=1)
-    t = new_tables()
+    t = CountTables()
     for u in ("D&mbrItIS", "D&m", "D&m") + ("brItIS",) * 7:
         process_utterance(t, u, cfg)
     seg, score = segment(t, "D&mbrItIS", cfg)
@@ -108,7 +110,7 @@ def test_damn_british_exact_tie_stays_whole():
     # at six isolated sightings both readings score -ln(1/12); the strict
     # comparison keeps the unsplit candidate
     cfg = LearnerConfig(order=1)
-    t = new_tables()
+    t = CountTables()
     for u in ("D&mbrItIS", "D&m", "D&m") + ("brItIS",) * 6:
         process_utterance(t, u, cfg)
     seg, _ = segment(t, "D&mbrItIS", cfg)
@@ -154,7 +156,7 @@ def test_determinism():
 
 
 def test_segment_does_not_touch_tables():
-    t = new_tables()
+    t = CountTables()
     t.commit(["ab"])
     before = (dict(t.unigrams), dict(t.phonemes), t.stats())
     segment(t, "abab", LearnerConfig(order=3))
@@ -163,7 +165,7 @@ def test_segment_does_not_touch_tables():
 
 def test_empty_utterance_rejected():
     with pytest.raises(ValueError):
-        segment(new_tables(), "", LearnerConfig(order=1))
+        segment(CountTables(), "", LearnerConfig(order=1))
 
 
 @pytest.mark.parametrize("u,symbol,position", [
@@ -172,9 +174,9 @@ def test_empty_utterance_rejected():
     ("bd" + SENTINEL, SENTINEL, 2),  # no vowel: would stay one word
 ])
 def test_segment_rejects_symbols_outside_inventory(u, symbol, position):
-    trained = new_tables()
+    trained = CountTables()
     trained.commit(["ab", "a", "bd"])
-    for tables in (new_tables(), trained):
+    for tables in (CountTables(), trained):
         for order in (1, 2, 3):
             for require_vowel in (False, True):
                 cfg = LearnerConfig(order=order, require_vowel=require_vowel)
@@ -192,7 +194,7 @@ def test_bigram_context_bias_splits_fused_word():
     outcomes = {}
     for order in (1, 2, 3):
         cfg = LearnerConfig(order=order)
-        t = new_tables()
+        t = CountTables()
         for line in lines:
             train_utterance(t, line.split(), cfg)
         seg, _ = segment(t, "D&tsOlr9t", cfg)
@@ -210,7 +212,7 @@ def test_memorized_triple_beats_frequent_fused_word():
     outcomes = {}
     for order in (1, 3):
         cfg = LearnerConfig(order=order)
-        t = new_tables()
+        t = CountTables()
         for line in lines:
             train_utterance(t, line.split(), cfg)
         seg, _ = segment(t, "D&tsOlr9t", cfg)
@@ -235,7 +237,7 @@ def test_vowel_constraint_blocks_consonant_words():
 
 def test_vowel_constraint_vowelless_utterance_stays_whole():
     cfg = LearnerConfig(order=1, require_vowel=True)
-    t = new_tables()
+    t = CountTables()
     t.commit(["st"])  # even a familiar vowel-free word must not tempt a split
     seg, score = segment(t, "stst", cfg)
     assert seg.words == ("stst",)
@@ -260,7 +262,7 @@ def test_vowel_constraint_matches_constrained_enumeration():
 
 def test_process_utterance_commits():
     cfg = LearnerConfig(order=1)
-    t = new_tables()
+    t = CountTables()
     process_utterance(t, "tu", cfg)
     assert t.unigrams == {"tu": 1}
     process_utterance(t, "tu", cfg)
@@ -269,7 +271,7 @@ def test_process_utterance_commits():
 
 def test_second_pass_scores_familiar():
     cfg = LearnerConfig(order=1)
-    t = new_tables()
+    t = CountTables()
     process_utterance(t, "tu", cfg)
     # now familiar with count 1: score is -ln(1/(N1+S1)) = -ln(1/2)
     assert word_score(t, (), "tu", 1) == pytest.approx(math.log(2))
@@ -277,7 +279,7 @@ def test_second_pass_scores_familiar():
 
 def test_train_utterance_commits_reference():
     cfg = LearnerConfig(order=2)
-    t = new_tables()
+    t = CountTables()
     train_utterance(t, ["D&m", "brItIS"], cfg)
     assert t.bigrams == {("D&m", "brItIS"): 1}
     assert t.unigrams == {"D&m": 1, "brItIS": 1}
@@ -285,7 +287,7 @@ def test_train_utterance_commits_reference():
 
 def test_fixture_learn_loop_populates_lexicon(sample_corpus):
     cfg = LearnerConfig(order=1)
-    t = new_tables()
+    t = CountTables()
     for utterance in sample_corpus:
         process_utterance(t, utterance.raw, cfg)
     assert t.n1 >= 1
@@ -307,7 +309,7 @@ def test_fixture_learn_loop_populates_lexicon(sample_corpus):
      ("b", "b", "ab", "ab", "b"), ("b", "ba", "b", "ab", "b")),
 ])
 def test_exact_ties_follow_the_tie_rule(commits, u, order, expected, rival):
-    t = new_tables()
+    t = CountTables()
     for words in commits:
         t.commit(words)
     seg, score = segment(t, u, LearnerConfig(order=order))

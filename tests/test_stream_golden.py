@@ -44,10 +44,10 @@ def _name(order, mode, vowel):
 def stream_digests(order, mode, vowel):
     """sha256 of the learner's words, and of its words and score bits, one
     line per utterance."""
-    from segdisc import LearnerConfig, PhonemeMode, new_tables, segment
+    from segdisc import CountTables, LearnerConfig, PhonemeMode, segment
 
     cfg = LearnerConfig(order=order, phoneme_mode=PhonemeMode(mode), require_vowel=vowel)
-    tables = new_tables()
+    tables = CountTables()
     words = hashlib.sha256()
     scored = hashlib.sha256()
     for line in CORPUS.read_text().splitlines():

@@ -3,14 +3,14 @@ import random
 
 import pytest
 
-from segdisc import (SENTINEL, LearnerConfig, PhonemeMode, UnknownPhoneme,
-                     default_inventory, new_tables, train_utterance)
+from segdisc import (SENTINEL, CountTables, LearnerConfig, PhonemeMode,
+                     UnknownPhoneme, default_inventory, train_utterance)
 
 EVENT_SPACE = 51  # 50 phonemes plus the sentinel
 
 
 def test_uniform_initialization():
-    t = new_tables()
+    t = CountTables()
     assert t.stats() == (0, 0, 0, 0, 0, 0)
     assert len(t.phonemes) == EVENT_SPACE
     assert t.phoneme_total == EVENT_SPACE
@@ -20,7 +20,7 @@ def test_uniform_initialization():
 
 
 def test_commit_counts_two_words():
-    t = new_tables()
+    t = CountTables()
     t.commit(["D&m", "brItIS"])
     assert t.n1 == 2 and t.s1 == 2
     assert t.bigrams == {("D&m", "brItIS"): 1}
@@ -29,7 +29,7 @@ def test_commit_counts_two_words():
 
 
 def test_commit_counts_triples():
-    t = new_tables()
+    t = CountTables()
     t.commit(["a", "b", "i", "u"])
     assert t.n1 == 4 and t.s1 == 4
     assert t.n2 == 3 and t.s2 == 3
@@ -38,7 +38,7 @@ def test_commit_counts_triples():
 
 
 def test_ngrams_do_not_span_utterances():
-    t = new_tables()
+    t = CountTables()
     t.commit(["a", "b"])
     t.commit(["b", "a"])
     assert ("b", "b") not in t.bigrams  # would only exist across the boundary
@@ -46,7 +46,7 @@ def test_ngrams_do_not_span_utterances():
 
 
 def test_lexicon_mode_counts_phonemes_once():
-    t = new_tables()
+    t = CountTables()
     t.commit(["tu"], PhonemeMode.LEXICON)
     t.commit(["tu"], PhonemeMode.LEXICON)
     assert t.phonemes["t"] == 2
@@ -56,7 +56,7 @@ def test_lexicon_mode_counts_phonemes_once():
 
 
 def test_speech_mode_counts_every_token():
-    t = new_tables()
+    t = CountTables()
     t.commit(["tu"], PhonemeMode.SPEECH)
     t.commit(["tu"], PhonemeMode.SPEECH)
     assert t.phonemes["t"] == 3
@@ -66,14 +66,14 @@ def test_speech_mode_counts_every_token():
 
 
 def test_uniform_mode_never_updates():
-    t = new_tables()
+    t = CountTables()
     t.commit(["tu", "mi"], PhonemeMode.UNIFORM)
     assert t.phoneme_total == EVENT_SPACE
     assert t.phonemes["t"] == 1
 
 
 def test_repeated_word_within_utterance_lexicon_mode():
-    t = new_tables()
+    t = CountTables()
     t.commit(["tu", "tu"], PhonemeMode.LEXICON)
     # second token is already familiar by the time it is seen
     assert t.phonemes["t"] == 2
@@ -81,7 +81,7 @@ def test_repeated_word_within_utterance_lexicon_mode():
 
 
 def test_damn_british_state_stats():
-    t = new_tables()
+    t = CountTables()
     t.commit(["D&mbrItIS"])
     for _ in range(2):
         t.commit(["D&m"])
@@ -93,7 +93,7 @@ def test_damn_british_state_stats():
 
 
 def test_commit_rejects_empty():
-    t = new_tables()
+    t = CountTables()
     with pytest.raises(ValueError):
         t.commit([])
     # "" must stay outside the lexicon: the search scores a history outside
@@ -113,7 +113,7 @@ def snapshot(t):
 @pytest.mark.parametrize("mode", list(PhonemeMode))
 @pytest.mark.parametrize("words", [["ab", "é"], ["é"], ["a", "b", "a" + SENTINEL]])
 def test_commit_rejects_unknown_symbols_without_counting(mode, words):
-    t = new_tables()
+    t = CountTables()
     t.commit(["ab", "a", "b"], mode)
     before = snapshot(t)
     with pytest.raises(UnknownPhoneme):
@@ -124,7 +124,7 @@ def test_commit_rejects_unknown_symbols_without_counting(mode, words):
 
 
 def test_max_word_len_is_the_longest_lexicon_word(sample_corpus):
-    t = new_tables()
+    t = CountTables()
     assert t.max_word_len == 0
     t.commit(["ab", "a"])
     assert t.max_word_len == 2
@@ -140,14 +140,14 @@ def test_max_word_len_is_the_longest_lexicon_word(sample_corpus):
     for _ in range(50):
         t.commit(["a" * rng.randint(1, 12) for _ in range(rng.randint(1, 4))])
         assert t.max_word_len == max(map(len, t.unigrams))
-    trained = new_tables()
+    trained = CountTables()
     for utterance in sample_corpus:
         train_utterance(trained, utterance.words, LearnerConfig(order=2))
         assert trained.max_word_len == max(map(len, trained.unigrams))
 
 
 def test_reference_corpus_commit_totals(sample_corpus):
-    t = new_tables()
+    t = CountTables()
     for utterance in sample_corpus:
         t.commit(utterance.words)
     assert t.s1 == sample_corpus.word_count
@@ -158,7 +158,7 @@ def test_reference_corpus_commit_totals(sample_corpus):
 def test_lexicon_mode_phoneme_total_identity():
     rng = random.Random(11)
     symbols = default_inventory().symbols
-    t = new_tables()
+    t = CountTables()
     for _ in range(40):
         words = ["".join(rng.choices(symbols, k=rng.randint(1, 5)))
                  for _ in range(rng.randint(1, 4))]
@@ -175,7 +175,7 @@ def _recount(t):
 def test_cached_aggregates_match_recount():
     rng = random.Random(7)
     pool = ["a", "b", "ab", "ba", "tu", "mi", "lUk"]
-    t = new_tables()
+    t = CountTables()
     for _ in range(200):
         words = rng.choices(pool, k=rng.randint(1, 6))
         t.commit(words, rng.choice(list(PhonemeMode)))
@@ -187,10 +187,10 @@ def test_cached_aggregates_match_recount():
 
 def test_commit_order_independent_for_unigrams_and_phonemes():
     utterances = [["tu", "mi"], ["lUk"], ["tu"], ["mi", "mi", "tu"]]
-    forward = new_tables()
+    forward = CountTables()
     for words in utterances:
         forward.commit(words, PhonemeMode.SPEECH)
-    backward = new_tables()
+    backward = CountTables()
     for words in reversed(utterances):
         backward.commit(words, PhonemeMode.SPEECH)
     assert forward.unigrams == backward.unigrams
@@ -200,12 +200,13 @@ def test_commit_order_independent_for_unigrams_and_phonemes():
 
 
 def test_dump_format():
-    t = new_tables()
-    t.commit(["tu", "mi"])
+    t = CountTables()
+    t.commit(["tu", "mi", "lUk"])
     buffer = io.StringIO()
     t.dump(buffer)
     lines = buffer.getvalue().splitlines()
     assert "unigram\ttu\t1" in lines
     assert "bigram\ttu mi\t1" in lines
-    assert "phoneme\t<end>\t3" in lines
+    assert "trigram\ttu mi lUk\t1" in lines
+    assert "phoneme\t<end>\t4" in lines
     assert all(len(line.split("\t")) == 3 for line in lines)
