@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import accumulate, repeat
-from operator import sub
 
 from .phoneme import SENTINEL
 from .tables import CountTables
@@ -117,12 +115,12 @@ def _log_chain(tables: CountTables, symbols):
     every w, bi("", w) == uni(w) - e2 and tri("", "", w) == bi("", w) - e3.
 
     A novel word's spelling score grows by one phoneme term per phoneme, so
-    `spell` scores every prefix of a word in one `accumulate`; uni and
-    substrings(u) share it, so their scores are bit-identical.  substrings
-    returns costs[j][i] = uni(u[j:i]) for 0 <= j < i <= n = len(u), in O(n^2)
-    float operations done in C, and starts[i], mapping each j whose u[j:i]
-    is a lexicon word to it in increasing j; only the O(n*L) substrings no
-    longer than the longest lexicon word, of L phonemes, are looked up.
+    substrings(u) extends each score ending at i - 1 by u[i - 1]: uni's
+    subtractions in the same order, so the scores are bit-identical.  It
+    returns costs[i][j] = uni(u[j:i]), 0 <= j < i <= n = len(u), built one
+    end position i at a time in O(n^2) subtractions, and starts[i], mapping
+    each j whose u[j:i] is a lexicon word to it in increasing j.  The walk
+    from each start looks up only substrings in the tables' `prefixes`.
     """
     log = math.log
     counts = tables.phonemes
@@ -134,16 +132,11 @@ def _log_chain(tables: CountTables, symbols):
         char_logs[ch] = log(counts[ch] / total)
 
     unigram_counts = tables.unigrams
-    max_word_len = tables.max_word_len
+    prefixes = tables.prefixes
     denom1 = tables.n1 + tables.s1
     # with nothing observed there is no escape term, and x - 0.0 == x
     log_escape1 = log(tables.n1 / denom1) if denom1 > 0 else 0.0
-    escape1 = repeat(log_escape1)  # endless, so one serves every row
     uni_cache: dict[str, float] = {}
-
-    def spell(logs):
-        """uni's novel-word score of each prefix, from the empty one on."""
-        return map(sub, accumulate(logs, sub, initial=sigma_head), escape1)
 
     def uni(word: str) -> float:
         value = uni_cache.get(word)
@@ -152,26 +145,33 @@ def _log_chain(tables: CountTables, symbols):
             if count > 0:
                 value = -log(count / denom1)
             else:
-                *_, value = spell([char_logs[ch] for ch in word])
+                value = sigma_head
+                for ch in word:
+                    value -= char_logs[ch]
+                value -= log_escape1
             uni_cache[word] = value
         return value
 
     def substrings(u: str) -> tuple[list[list[float]], list[dict[int, str]]]:
         n = len(u)
-        logs = [char_logs[ch] for ch in u]
-        costs = []
         starts = [{} for _ in range(n + 1)]
         for j in range(n):
-            # row[i] for i > j; row[j] is the empty word's unused score
-            row = [0.0] * j
-            row += spell(logs[j:])
-            window = u[j:j + max_word_len]
-            for size in range(1, len(window) + 1):
-                word = window[:size]
+            i = j + 1
+            while i <= n and (word := u[j:i]) in prefixes:
                 if word in unigram_counts:
-                    row[j + size] = uni(word)
-                    starts[j + size][j] = word
-            costs.append(row)
+                    starts[i][j] = word
+                i += 1
+        # acc[j] is u[j:i]'s spelling score before the escape term
+        acc = []
+        costs = [[]]
+        for i, ch in enumerate(u, 1):
+            log_i = char_logs[ch]
+            acc = [value - log_i for value in acc]
+            acc.append(sigma_head - log_i)
+            col = [value - log_escape1 for value in acc]
+            for j, word in starts[i].items():
+                col[j] = uni(word)
+            costs.append(col)
         return costs, starts
 
     bigram_counts = tables.bigrams
@@ -235,11 +235,13 @@ def word_score(tables: CountTables, context, word: str, order: int) -> float:
 class UtteranceScorer:
     """The substring costs of one utterance plus the log-domain back-off chain.
 
-    `costs` and `starts` are `_log_chain`'s substrings(u): O(n^2) float
-    operations done in C plus O(n*L) lookups for a longest lexicon word of
-    L phonemes.  The search reads them and scores lexicon words with bi, tri
-    and `escapes`, so every score is bit-identical to the equivalent
-    word_score call.  The tables must not change while the scorer lives.
+    `costs` and `starts` are `_log_chain`'s substrings(u): costs[i][j] is
+    uni(u[j:i]), built one end position at a time in O(n^2) float
+    subtractions, and starts[i] maps each start of a lexicon word ending at i
+    to that word, found by lookups along lexicon prefixes only.  The search
+    reads them and scores lexicon words with bi, tri and `escapes`, so
+    every score is bit-identical to the equivalent word_score call.  The
+    tables must not change while the scorer lives.
     """
 
     __slots__ = ("costs", "starts", "escapes", "uni", "bi", "tri")

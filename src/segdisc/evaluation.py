@@ -85,16 +85,17 @@ def score_blocks(pairs, block_size, reference_lexicon, *,
     # the initial lexicon is reference words already seen in training
     seen_reference = set(learned)
     target = seen_reference if seen_reference_only else reference_lexicon
+    # audit_lexicon(learned, target).correct, kept as each set grows
+    genuine = sum(1 for w in learned if w in target)
     correct = predicted = reference = in_block = 0
 
     def close_block():
-        audit = audit_lexicon(learned, target)
         blocks.append(BlockScores(
             block_index=len(blocks),
             utterances=in_block,
             precision=100.0 * correct / predicted,
             recall=100.0 * correct / reference,
-            lexicon_precision=100.0 * audit.correct / len(audit.learned),
+            lexicon_precision=100.0 * genuine / len(learned),
         ))
 
     for seg, ref_words in pairs:
@@ -103,9 +104,15 @@ def score_blocks(pairs, block_size, reference_lexicon, *,
         predicted += p
         reference += r
         in_block += 1
-        learned.update(seg.words)
+        for w in seg.words:
+            if w not in learned:
+                learned.add(w)
+                genuine += w in target
         if seen_reference_only:
-            seen_reference.update(ref_words)
+            for w in ref_words:
+                if w not in seen_reference:
+                    seen_reference.add(w)
+                    genuine += w in learned
         if block_size is not None and in_block == block_size:
             close_block()
             correct = predicted = reference = in_block = 0

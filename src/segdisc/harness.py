@@ -30,6 +30,10 @@ from .tables import CountTables, PhonemeMode
 CSV_FIELDS = ["run_id", "block_index", "utterances", "precision", "recall",
               "lexicon_precision", "model", "phoneme_mode", "train_fraction"]
 
+# utterances per scoring block when a spec gives none, in the CLI and library
+_EVAL_BLOCK_SIZE = 500
+_PERMUTE_BLOCK_SIZE = 100
+
 
 @dataclass
 class ExperimentSpec:
@@ -229,7 +233,7 @@ def run_permute_average(spec: ExperimentSpec) -> PermuteAverageResult:
     """Incremental runs over `runs` corpus permutations, scored in blocks."""
     corpus = load_corpus(spec.corpus_path)
     cfg = spec.learner_config()
-    block_size = spec.block_size or 100
+    block_size = spec.block_size or _PERMUTE_BLOCK_SIZE
     jobs = [(corpus, r, spec.base_seed + r, cfg, block_size, spec.baseline,
              spec.no_permute, spec.lexicon_seen_only)
             for r in range(spec.runs)]
@@ -247,7 +251,7 @@ def run_eval(spec: ExperimentSpec) -> PermuteAverageResult:
         raise ValueError(f"no utterance left to test after training on {n_train} "
                          f"of {len(corpus)}; lower --train-frac")
     rng = random.Random(spec.base_seed) if spec.baseline else None
-    blocks = _learn_and_score(test, spec.learner_config(), spec.block_size or 500,
+    blocks = _learn_and_score(test, spec.learner_config(), spec.block_size or _EVAL_BLOCK_SIZE,
                               corpus.lexicon(), train=train, rng=rng,
                               lexicon_seen_only=spec.lexicon_seen_only)
     per_run = ((0, tuple(blocks)),)
@@ -557,12 +561,12 @@ _COMMANDS = {
              "run_eval", _write_blocks,
              ("--corpus", *_MODEL, "--seed", "--block-size", "--lexicon-seen-only",
               "--train-frac", "--baseline-random"),
-             {"block_size": 500}),
+             {"block_size": _EVAL_BLOCK_SIZE}),
     "permute-average": ("average runs over corpus permutations",
                         "run_permute_average", _write_blocks,
                         ("--corpus", *_MODEL, *_RUNS, "--block-size", "--lexicon-seen-only",
                          "--no-permute", "--baseline-random"),
-                        {"runs": 50, "block_size": 100}),
+                        {"runs": 50, "block_size": _PERMUTE_BLOCK_SIZE}),
     "train-sweep": ("sweep supervised training amounts",
                     "run_train_sweep", _write_sweep,
                     ("--corpus", *_MODEL, *_RUNS, "--lexicon-seen-only",

@@ -31,9 +31,9 @@ utterance, where the dense searches took O(n^3) and O(n^4).  At orders 2
 and 3 a lexicon word's cell costs O(1 + h) for the h lexicon words ending
 where it starts, plus at order 3 the splits stored for each that forms a
 seen bigram with it; every other cell costs O(1).  `UtteranceScorer` takes
-O(n^2) float operations done in C plus O(n*L) lookups for a longest
-lexicon word of L phonemes; words are sliced only for lexicon cells and on
-the winning path.
+O(n^2) float subtractions, one column costs[i] per end position, plus
+lookups only along lexicon prefixes; words are sliced only for lexicon
+cells and on the winning path.
 
 Ties are resolved exactly as a strict `score < best` update does when the
 unsplit candidate is examined first and split points are visited left to
@@ -144,11 +144,12 @@ def _search_unigram(scorer, u, limit):
     best = [0.0] * (n + 1)
     back = [0] * (n + 1)
     for i in range(1, n + 1):
+        col = costs[i]
         # an infeasible prefix scores +inf, so it never wins a strict <
-        score = costs[0][i] if limit[i] else _INF
+        score = col[0] if limit[i] else _INF
         split = 0
         for j in range(1, limit[i]):
-            cand = best[j] + costs[j][i]
+            cand = best[j] + col[j]
             if cand < score:
                 score = cand
                 split = j
@@ -178,10 +179,11 @@ def _search_bigram(scorer, u, limit):
     ending = [_INF] * (n + 1)
     for i in range(1, n + 1):
         here = starts[i]
-        state[0][i] = top = costs[0][i] if limit[i] else _INF
+        col = costs[i]
+        state[0][i] = top = col[0] if limit[i] else _INF
         shared = _INF if 0 in here else top
         for j in range(1, limit[i]):
-            base = costs[j][i] - escape2  # bi("", u[j:i])
+            base = col[j] - escape2  # bi("", u[j:i])
             if j not in here:
                 score = ending[j] + base
                 if score < shared:
@@ -208,7 +210,7 @@ def _search_bigram(scorer, u, limit):
         out.append(word)
         # the dense scan's choice: the first k that reaches the cell's score
         target = state[j][i]
-        base = costs[j][i] - escape2
+        base = costs[i][j] - escape2
         k = 0
         while state[k][j] + (bi(starts[j][k], word) if k in starts[j] else base) != target:
             k += 1
@@ -240,12 +242,13 @@ def _search_trigram(scorer, u, limit, bigram_counts):
     novel = [_INF] * (n + 1)
     ending = [_INF] * (n + 1)
     # firsts[j]: score of u[:j] as the first word
-    firsts = [_INF] + [costs[0][j] if limit[j] else _INF for j in range(1, n + 1)]
+    firsts = [_INF] + [costs[j][0] if limit[j] else _INF for j in range(1, n + 1)]
     for i in range(1, n + 1):
         here = starts[i]
+        col = costs[i]
         shared = overall = _INF
         for j in range(1, limit[i]):
-            base = costs[j][i] - escape2  # bi("", u[j:i])
+            base = col[j] - escape2  # bi("", u[j:i])
             added = base - escape3  # tri("", "", u[j:i])
             if j not in here:
                 # base after the first word alone, added after two or more
@@ -295,7 +298,7 @@ def _search_trigram(scorer, u, limit, bigram_counts):
         """The dense search's score for u[:i] ending in words u[k:j], u[j:i]."""
         if k in split[j][i]:
             return split[j][i][k]
-        base = costs[j][i] - escape2
+        base = costs[i][j] - escape2
         return firsts[j] + base if k == 0 else best[k][j] + (base - escape3)
 
     # the unsplit reading is examined first, then pairs (j, n) and their k

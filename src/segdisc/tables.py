@@ -35,15 +35,16 @@ class CountTables:
     """Unigram/bigram/trigram/phoneme counts with cached aggregates.
 
     An instance is owned by a single learning run; nothing here is safe
-    for concurrent mutation.  `max_word_len` is the longest lexicon word's
-    length, kept in O(1) per new word.  `score_cache` holds the back-off
-    chain that `estimator.word_score` builds for the current counts;
-    `commit` clears it.
+    for concurrent mutation.  `prefixes` holds every non-empty prefix of
+    every lexicon word, the words included, extended in O(len w) per new
+    word w; the scorer walks an utterance along it.  `score_cache` holds
+    the back-off chain that `estimator.word_score` builds for the current
+    counts; `commit` clears it.
     """
 
     __slots__ = ("inventory", "unigrams", "bigrams", "trigrams", "phonemes",
                  "phoneme_total", "n1", "n2", "n3", "s1", "s2", "s3",
-                 "max_word_len", "score_cache")
+                 "prefixes", "score_cache")
 
     def __init__(self):
         self.inventory = inventory = default_inventory()
@@ -55,7 +56,7 @@ class CountTables:
         self.phoneme_total = len(self.phonemes)
         self.n1 = self.n2 = self.n3 = 0
         self.s1 = self.s2 = self.s3 = 0
-        self.max_word_len = 0
+        self.prefixes: set[str] = set()
         self.score_cache = None
 
     def commit(self, words, mode: PhonemeMode = PhonemeMode.LEXICON) -> None:
@@ -83,8 +84,7 @@ class CountTables:
             if count == 0:
                 self.n1 += 1
                 novel.append(w)
-                if len(w) > self.max_word_len:
-                    self.max_word_len = len(w)
+                self.prefixes.update(w[:k] for k in range(1, len(w) + 1))
             unigrams[w] = count + 1
         self.s1 += len(words)
         if len(words) >= 2:

@@ -289,7 +289,7 @@ def assert_pass_is_bit_identical(tables, u):
     for i in range(1, len(u) + 1):
         for j in range(i):
             word = u[j:i]
-            got = scorer.costs[j][i].hex()
+            got = scorer.costs[i][j].hex()
             assert got == word_score(tables, (), word, 1).hex(), (u, j, i)
             assert got == spelled_alone(tables, word).hex(), (u, j, i)
         lexical = [(j, u[j:i]) for j in range(i) if u[j:i] in tables.unigrams]
@@ -321,10 +321,27 @@ def test_spelling_pass_empty_tables():
 def test_spelling_pass_words_as_long_as_the_longest(u):
     # "D&mbrItIS" is the longest lexicon word: at the start of u, at its
     # end, spanning all of u, cut by one phoneme, and in utterances shorter
-    # than it, where an off-by-one in the length bound drops or adds a cell
+    # than it, where a walk stopped one prefix early or late drops or adds
+    # a cell
     t = damn_british_tables()
     t.commit(["kIti", "I", "S"])
-    assert t.max_word_len == len("D&mbrItIS")
+    assert max(t.prefixes, key=len) == "D&mbrItIS"
+    assert_pass_is_bit_identical(t, u)
+
+
+@pytest.mark.parametrize("lexicon, u", [
+    (["D&mbrItIS", "k"], "kID&mbrItISk"),
+    (["ab", "abab", "b"], "abababa"),
+    (["kItiS", "Iti"], "bkIti"),
+    (["S", "kIt"], "kItS"),
+], ids=["no-proper-prefix-is-a-word", "word-is-a-prefix-of-a-word",
+        "u-ends-inside-a-prefix", "one-phoneme-word-at-the-end"])
+def test_spelling_pass_prefix_walk_edges(lexicon, u):
+    # the walk from each start must pass prefixes that are not words, keep
+    # going after a word that begins a longer one, stop at the end of u,
+    # and read a word that starts at the last phoneme
+    t = CountTables()
+    t.commit(lexicon)
     assert_pass_is_bit_identical(t, u)
 
 

@@ -138,6 +138,34 @@ def test_seen_reference_only_counts_initial_lexicon_as_seen():
     assert [b.lexicon_precision for b in blocks] == [100.0, 100.0]
 
 
+@pytest.mark.parametrize("seen_only", [False, True])
+@pytest.mark.parametrize("initial", [None, {"tu", "zz"}])
+def test_lexicon_precision_matches_a_full_audit_per_block(seen_only, initial):
+    # score_blocks keeps its count of genuine words as it goes; auditing
+    # the whole learned set at the end of every block must agree
+    rng = random.Random(f"audit-{seen_only}-{initial is None}")
+    vocab = ["tu", "mi", "lUk", "bIg", "D*"]
+    reference_lexicon = {"tu", "mi", "lUk", "bIg"}
+    pairs = []
+    for _ in range(200):
+        ref = rng.choices(vocab, k=rng.randint(1, 4))
+        raw = "".join(ref)
+        cuts = rng.sample(range(1, len(raw)), rng.randint(0, min(3, len(raw) - 1)))
+        pairs.append((Segmentation.from_boundaries(raw, sorted(cuts)), ref))
+    blocks = score_blocks(pairs, 7, reference_lexicon, initial_lexicon=initial,
+                          seen_reference_only=seen_only)
+    learned = set(initial or ())
+    seen = set(learned)
+    expected = []
+    for count, (predicted, ref) in enumerate(pairs, 1):
+        learned.update(predicted.words)
+        seen.update(ref)
+        if count % 7 == 0 or count == len(pairs):
+            audit = audit_lexicon(learned, seen if seen_only else reference_lexicon)
+            expected.append(100.0 * audit.correct / len(audit.learned))
+    assert [b.lexicon_precision for b in blocks] == expected
+
+
 def test_block_scores_invariant_to_order_within_block():
     base = [
         (seg("tu mi"), ["tumi"]),

@@ -250,6 +250,28 @@ def test_cli_eval_writes_schema_stable_csv(sample_path, tmp_path, capsys):
     assert rows[1][6] == "1-gram"
 
 
+@pytest.mark.parametrize("command, run, argv", [
+    ("eval", run_eval, []),
+    ("permute-average", run_permute_average, ["--runs", "1"]),
+])
+def test_block_size_default_is_the_same_for_cli_and_library(sample_path, tmp_path,
+                                                             command, run, argv):
+    # 600 utterances, more than one block at either command's default
+    lines = sample_path.with_name("recombined120.txt").read_text(encoding="ascii")
+    corpus = tmp_path / "corpus600.txt"
+    corpus.write_text(lines * 5, encoding="ascii")
+    out = tmp_path / "blocks.csv"
+    assert main([command, "--corpus", str(corpus), *argv, "--out", str(out)]) == 0
+    with open(out, newline="") as handle:
+        cli = [(int(row["run_id"]), int(row["block_index"]), int(row["utterances"]))
+               for row in csv.DictReader(handle)]
+    result = run(spec_for(command, corpus, runs=1, block_size=None))
+    library = [(run_id, block.block_index, block.utterances)
+               for run_id, blocks in result.per_run for block in blocks]
+    assert library == cli
+    assert len(cli) > 1
+
+
 def test_cli_deterministic_output(sample_path, tmp_path):
     outs = []
     for name in ("a.csv", "b.csv"):

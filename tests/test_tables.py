@@ -107,7 +107,7 @@ def test_commit_rejects_empty():
 
 def snapshot(t):
     return (dict(t.unigrams), dict(t.bigrams), dict(t.trigrams),
-            dict(t.phonemes), t.phoneme_total, t.stats(), t.max_word_len)
+            dict(t.phonemes), t.phoneme_total, t.stats(), set(t.prefixes))
 
 
 @pytest.mark.parametrize("mode", list(PhonemeMode))
@@ -123,27 +123,32 @@ def test_commit_rejects_unknown_symbols_without_counting(mode, words):
     assert snapshot(t) == before
 
 
-def test_max_word_len_is_the_longest_lexicon_word(sample_corpus):
+def lexicon_prefixes(t):
+    return {w[:k] for w in t.unigrams for k in range(1, len(w) + 1)}
+
+
+def test_prefixes_are_every_prefix_of_every_lexicon_word(sample_corpus):
     t = CountTables()
-    assert t.max_word_len == 0
+    assert t.prefixes == set()
     t.commit(["ab", "a"])
-    assert t.max_word_len == 2
+    assert t.prefixes == {"a", "ab"}
     t.commit(["b", "abab", "ba"], PhonemeMode.SPEECH)
-    assert t.max_word_len == 4
+    assert t.prefixes == {"a", "ab", "aba", "abab", "b", "ba"}
     t.commit(["ab", "b"])
-    assert t.max_word_len == 4
+    assert t.prefixes == lexicon_prefixes(t)
     for words in (["ab", "é"], ["ababab", "é"]):
         with pytest.raises(UnknownPhoneme):
             t.commit(words)
-        assert t.max_word_len == 4
+        assert t.prefixes == {"a", "ab", "aba", "abab", "b", "ba"}
     rng = random.Random(6)
     for _ in range(50):
-        t.commit(["a" * rng.randint(1, 12) for _ in range(rng.randint(1, 4))])
-        assert t.max_word_len == max(map(len, t.unigrams))
+        t.commit(["".join(rng.choices("abI", k=rng.randint(1, 12)))
+                  for _ in range(rng.randint(1, 4))])
+        assert t.prefixes == lexicon_prefixes(t)
     trained = CountTables()
     for utterance in sample_corpus:
         train_utterance(trained, utterance.words, LearnerConfig(order=2))
-        assert trained.max_word_len == max(map(len, trained.unigrams))
+        assert trained.prefixes == lexicon_prefixes(trained)
 
 
 def test_reference_corpus_commit_totals(sample_corpus):
