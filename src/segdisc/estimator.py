@@ -8,15 +8,18 @@ to every possible word, so every query is answerable.
 
 The probability functions p_* return plain floats by default; passing
 exact=True switches the arithmetic to fractions.Fraction for identity
-checks.  Scoring works in negative natural log units through one
-implementation of the chain, `_log_chain`, which both `word_score` and the
-boundary search's `UtteranceScorer` use; it accumulates per phoneme, so
-long novel words cannot underflow.
+checks.  Each picks its division once per call, so both kinds of number
+go through the same operations in the same order.  Scoring works in
+negative natural log units through one implementation of the chain,
+`_log_chain`, which both `word_score` and the boundary search's
+`UtteranceScorer` use; it accumulates per phoneme, so long novel words
+cannot underflow.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 from .phoneme import SENTINEL
@@ -31,17 +34,13 @@ def p_sigma(tables: CountTables, word: str, exact: bool = False):
     non-empty phoneme strings, so the total over every possible word is
     exactly one.
     """
+    ratio = Fraction if exact else operator.truediv
     counts = tables.phonemes
     total = tables.phoneme_total
     sentinel = counts[SENTINEL]
-    if exact:
-        p = Fraction(sentinel, total - sentinel)
-        for ch in word:
-            p *= Fraction(counts[ch], total)
-        return p
-    p = sentinel / (total - sentinel)
+    p = ratio(sentinel, total - sentinel)
     for ch in word:
-        p *= counts[ch] / total
+        p *= ratio(counts[ch], total)
     return p
 
 
@@ -51,15 +50,13 @@ def p_unigram(tables: CountTables, word: str, exact: bool = False):
     With nothing observed yet (N1 = S1 = 0) there is no escape discount
     and the spelling model is used directly.
     """
+    ratio = Fraction if exact else operator.truediv
     count = tables.unigrams.get(word, 0)
     denom = tables.n1 + tables.s1
     if count > 0:
-        return Fraction(count, denom) if exact else count / denom
+        return ratio(count, denom)
     base = p_sigma(tables, word, exact)
-    if denom == 0:
-        return base
-    escape = Fraction(tables.n1, denom) if exact else tables.n1 / denom
-    return escape * base
+    return base if denom == 0 else ratio(tables.n1, denom) * base
 
 
 def p_bigram(tables: CountTables, prev: str, word: str, exact: bool = False):
@@ -69,34 +66,25 @@ def p_bigram(tables: CountTables, prev: str, word: str, exact: bool = False):
     conditioning word's unigram count, scaled by the non-escape mass; an
     unseen pair falls back to N2/(N2+S2) times the unigram estimate.
     """
+    ratio = Fraction if exact else operator.truediv
     count = tables.bigrams.get((prev, word), 0)
     denom = tables.n2 + tables.s2
     if count > 0:
-        if exact:
-            return Fraction(tables.s2, denom) * Fraction(count, tables.unigrams[prev])
-        return (tables.s2 / denom) * (count / tables.unigrams[prev])
+        return ratio(tables.s2, denom) * ratio(count, tables.unigrams[prev])
     base = p_unigram(tables, word, exact)
-    if denom == 0:
-        return base
-    escape = Fraction(tables.n2, denom) if exact else tables.n2 / denom
-    return escape * base
+    return base if denom == 0 else ratio(tables.n2, denom) * base
 
 
 def p_trigram(tables: CountTables, prev2: str, prev1: str, word: str,
               exact: bool = False):
     """(S3/(N3+S3)) * C(prev2,prev1,w)/C(prev2,prev1) if seen, else back off."""
+    ratio = Fraction if exact else operator.truediv
     count = tables.trigrams.get((prev2, prev1, word), 0)
     denom = tables.n3 + tables.s3
     if count > 0:
-        pair = tables.bigrams[(prev2, prev1)]
-        if exact:
-            return Fraction(tables.s3, denom) * Fraction(count, pair)
-        return (tables.s3 / denom) * (count / pair)
+        return ratio(tables.s3, denom) * ratio(count, tables.bigrams[(prev2, prev1)])
     base = p_bigram(tables, prev1, word, exact)
-    if denom == 0:
-        return base
-    escape = Fraction(tables.n3, denom) if exact else tables.n3 / denom
-    return escape * base
+    return base if denom == 0 else ratio(tables.n3, denom) * base
 
 
 def _log_chain(tables: CountTables, symbols):

@@ -4,8 +4,9 @@ Every command is deterministic given its base seed: run r of an averaged
 experiment permutes the corpus with seed base_seed + r.  Runs are
 independent (each owns private count tables), so they can execute on a
 process pool; set SEGDISC_THREADS to bound the pool (default 1, serial).
-Aggregation folds run results in run-id order, so the pool size never
-changes any output.
+`_map_jobs` returns results in job order, serial or pooled, and run r is
+job r, so run order needs no sort and the pool size never changes any
+output.  Every per-utterance loop is the one incremental pass, `_pass`.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .corpus import CorpusError, load_corpus, permute, split_at
+from .corpus import CorpusError, Utterance, load_corpus, permute, split_at
 from .estimator import word_score
-from .evaluation import BlockScores, random_baseline, score_blocks, score_utterance
+from .evaluation import BlockScores, random_baseline, score_blocks
 from .segmenter import (LearnerConfig, Segmentation, process_utterance, segment,
                         train_utterance)
 from .tables import CountTables, PhonemeMode
@@ -60,6 +61,7 @@ class ExperimentSpec:
         return "random" if self.baseline else f"{self.order}-gram"
 
     def validate(self) -> None:
+        self.phoneme_mode = PhonemeMode(self.phoneme_mode)
         if self.runs < 1:
             raise ValueError(f"runs must be at least 1, got {self.runs}")
         if self.block_size is not None and self.block_size < 1:
@@ -178,25 +180,36 @@ def _map_jobs(fn, jobs):
         return list(pool.map(fn, jobs))
 
 
+def _seeded_runs(job, spec, corpus, *args):
+    """(r, job((corpus, base_seed + r, *args))) for each run r, in run order."""
+    jobs = [(corpus, spec.base_seed + r, *args) for r in range(spec.runs)]
+    return tuple(enumerate(_map_jobs(job, jobs)))
+
+
+def _pass(tables, corpus, cfg, rng=None):
+    """One incremental pass: (prediction, reference words) per utterance.
+
+    The prediction is process_utterance's, committed to `tables` before the
+    pair is yielded, or with a random.Random `rng` the random baseline's,
+    which leaves the tables alone.
+    """
+    for utterance in corpus:
+        if rng is None:
+            seg = process_utterance(tables, utterance.raw, cfg)
+        else:
+            seg = random_baseline(utterance.raw, len(utterance.words) - 1, rng)
+        yield seg, utterance.words
+
+
 def _learn_and_score(corpus, cfg, block_size, reference_lexicon, *, train=(),
                      rng=None, lexicon_seen_only=False):
-    """Commit the reference words of `train`, then make one incremental pass
-    over `corpus`, scoring its predictions in blocks; with a random.Random
-    `rng`, score the random baseline instead.  The trained words seed the
-    learned lexicon that lexicon precision audits."""
+    """Commit the reference words of `train`, then score one incremental
+    pass over `corpus` in blocks.  The trained words seed the learned
+    lexicon that lexicon precision audits."""
     tables = CountTables()
     for utterance in train:
         train_utterance(tables, utterance.words, cfg)
-
-    def predictions():
-        for utterance in corpus:
-            if rng is not None:
-                seg = random_baseline(utterance.raw, len(utterance.words) - 1, rng)
-            else:
-                seg = process_utterance(tables, utterance.raw, cfg)
-            yield seg, utterance.words
-
-    return score_blocks(predictions(), block_size, reference_lexicon,
+    return score_blocks(_pass(tables, corpus, cfg, rng), block_size, reference_lexicon,
                         initial_lexicon=tables.unigrams,
                         seen_reference_only=lexicon_seen_only)
 
@@ -221,12 +234,11 @@ def _summarize_blocks(per_run) -> tuple[BlockSummary, ...]:
 
 
 def _permute_job(args):
-    corpus, run_id, seed, cfg, block_size, baseline, no_permute, seen_only = args
+    corpus, seed, cfg, block_size, baseline, no_permute, seen_only = args
     ordered = corpus if no_permute else permute(corpus, seed)
     rng = random.Random(seed) if baseline else None
-    blocks = _learn_and_score(ordered, cfg, block_size, corpus.lexicon(),
-                              rng=rng, lexicon_seen_only=seen_only)
-    return run_id, tuple(blocks)
+    return tuple(_learn_and_score(ordered, cfg, block_size, corpus.lexicon(),
+                                  rng=rng, lexicon_seen_only=seen_only))
 
 
 def run_permute_average(spec: ExperimentSpec) -> PermuteAverageResult:
@@ -234,10 +246,8 @@ def run_permute_average(spec: ExperimentSpec) -> PermuteAverageResult:
     corpus = load_corpus(spec.corpus_path)
     cfg = spec.learner_config()
     block_size = spec.block_size or _PERMUTE_BLOCK_SIZE
-    jobs = [(corpus, r, spec.base_seed + r, cfg, block_size, spec.baseline,
-             spec.no_permute, spec.lexicon_seen_only)
-            for r in range(spec.runs)]
-    per_run = tuple(sorted(_map_jobs(_permute_job, jobs)))
+    per_run = _seeded_runs(_permute_job, spec, corpus, cfg, block_size, spec.baseline,
+                           spec.no_permute, spec.lexicon_seen_only)
     return PermuteAverageResult(per_run, _summarize_blocks(per_run))
 
 
@@ -259,7 +269,7 @@ def run_eval(spec: ExperimentSpec) -> PermuteAverageResult:
 
 
 def _sweep_job(args):
-    corpus, run_id, seed, cfg, counts, seen_only = args
+    corpus, seed, cfg, counts, seen_only = args
     ordered = permute(corpus, seed)
     reference_lexicon = corpus.lexicon()
     results = []
@@ -267,8 +277,8 @@ def _sweep_job(args):
         train, test = split_at(ordered, count)
         blocks = _learn_and_score(test, cfg, None, reference_lexicon, train=train,
                                   lexicon_seen_only=seen_only)
-        results.append((count, blocks[0]))
-    return run_id, results
+        results.append(blocks[0])
+    return results
 
 
 def run_train_sweep(spec: ExperimentSpec) -> SweepResult:
@@ -283,14 +293,12 @@ def run_train_sweep(spec: ExperimentSpec) -> SweepResult:
     n = len(corpus)
     cap = int(spec.sweep_cap * n)
     counts = [c for c in range(0, cap + 1, spec.sweep_step) if c < n]
-    jobs = [(corpus, r, spec.base_seed + r, cfg, counts, spec.lexicon_seen_only)
-            for r in range(spec.runs)]
-    results = sorted(_map_jobs(_sweep_job, jobs))
+    results = _seeded_runs(_sweep_job, spec, corpus, cfg, counts, spec.lexicon_seen_only)
     per_run = tuple((run_id, count, block)
-                    for run_id, rows in results for count, block in rows)
+                    for run_id, blocks in results for count, block in zip(counts, blocks))
     points = []
     for i, count in enumerate(counts):
-        group = [rows[i][1] for _, rows in results]
+        group = [blocks[i] for _, blocks in results]
         points.append(SweepPoint(count, count / n, len(group), **_block_stats(group)))
     return SweepResult(per_run, tuple(points), n)
 
@@ -307,19 +315,12 @@ def run_fully_trained(spec: ExperimentSpec) -> FullyTrainedReport:
     tables = CountTables()
     for utterance in corpus:
         train_utterance(tables, utterance.words, cfg)
-    mismatches = []
-    correct = predicted = reference = 0
-    for index, utterance in enumerate(corpus, start=1):
-        seg = process_utterance(tables, utterance.raw, cfg)
-        if seg.words != utterance.words:
-            mismatches.append(Mismatch(index, seg.words, utterance.words))
-        c, p, r = score_utterance(seg, utterance.words)
-        correct += c
-        predicted += p
-        reference += r
-    return FullyTrainedReport(len(corpus), tuple(mismatches),
-                              100.0 * correct / predicted,
-                              100.0 * correct / reference)
+    pairs = list(_pass(tables, corpus, cfg))
+    mismatches = tuple(Mismatch(index, seg.words, words)
+                       for index, (seg, words) in enumerate(pairs, start=1)
+                       if seg.words != words)
+    (block,) = score_blocks(pairs, None, corpus.lexicon())
+    return FullyTrainedReport(len(corpus), mismatches, block.precision, block.recall)
 
 
 def run_damn_british(spec: ExperimentSpec) -> ScenarioReport:
@@ -336,8 +337,10 @@ def run_damn_british(spec: ExperimentSpec) -> ScenarioReport:
     outcomes = []
     for x in range(1, 11):
         tables = CountTables()
-        for utterance in ("D&mbrItIS", "D&m", "D&m") + ("brItIS",) * x:
-            process_utterance(tables, utterance, cfg)
+        script = [Utterance.from_words([word])
+                  for word in ("D&mbrItIS", "D&m", "D&m") + ("brItIS",) * x]
+        for _ in _pass(tables, script, cfg):
+            pass
         if tables.unigrams != {"D&mbrItIS": 1, "D&m": 2, "brItIS": x}:
             raise RuntimeError(
                 f"scenario lexicon diverged at x={x}: {tables.unigrams}")
@@ -363,21 +366,20 @@ def fit_sqrt_coefficient(points) -> float:
 
 
 def _growth_job(args):
-    corpus, run_id, seed, cfg, no_permute = args
+    corpus, seed, cfg, no_permute = args
     ordered = corpus if no_permute else permute(corpus, seed)
     tables = CountTables()
     model_points = []
     actual_points = []
     model_tokens = actual_tokens = 0
     actual_lexicon: set[str] = set()
-    for utterance in ordered:
-        seg = process_utterance(tables, utterance.raw, cfg)
+    for seg, words in _pass(tables, ordered, cfg):
         model_tokens += len(seg.words)
         model_points.append((model_tokens, len(tables.unigrams)))
-        actual_tokens += len(utterance.words)
-        actual_lexicon.update(utterance.words)
+        actual_tokens += len(words)
+        actual_lexicon.update(words)
         actual_points.append((actual_tokens, len(actual_lexicon)))
-    return run_id, model_points, actual_points
+    return model_points, actual_points
 
 
 def _average_curves(curves):
@@ -392,11 +394,9 @@ def run_lexicon_growth(spec: ExperimentSpec) -> tuple[GrowthCurve, GrowthCurve]:
     the reference words, averaged over runs, with a k*sqrt(N) fit each."""
     corpus = load_corpus(spec.corpus_path)
     cfg = spec.learner_config()
-    jobs = [(corpus, r, spec.base_seed + r, cfg, spec.no_permute)
-            for r in range(spec.runs)]
-    results = sorted(_map_jobs(_growth_job, jobs))
-    model = _average_curves([model_points for _, model_points, _ in results])
-    actual = _average_curves([actual_points for _, _, actual_points in results])
+    results = _seeded_runs(_growth_job, spec, corpus, cfg, spec.no_permute)
+    model = _average_curves([model_points for _, (model_points, _) in results])
+    actual = _average_curves([actual_points for _, (_, actual_points) in results])
     return (GrowthCurve(f"{spec.order}-gram", model, fit_sqrt_coefficient(model)),
             GrowthCurve("actual", actual, fit_sqrt_coefficient(actual)))
 
@@ -422,9 +422,7 @@ def run_phoneme_mode_matrix(spec: ExperimentSpec) -> tuple[MatrixCell, ...]:
 def run_segment(spec: ExperimentSpec) -> tuple[Segmentation, ...]:
     """Incremental pass over the corpus, one segmentation per utterance."""
     corpus = load_corpus(spec.corpus_path)
-    cfg = spec.learner_config()
-    tables = CountTables()
-    return tuple(process_utterance(tables, utterance.raw, cfg) for utterance in corpus)
+    return tuple(seg for seg, _ in _pass(CountTables(), corpus, spec.learner_config()))
 
 
 # ---------------------------------------------------------------------------
@@ -627,10 +625,8 @@ def _build_parser() -> _Parser:
 
 
 def _spec_from_args(args) -> ExperimentSpec:
-    values = {name: value for name, value in vars(args).items() if value is not None}
-    if "phoneme_mode" in values:
-        values["phoneme_mode"] = PhonemeMode(values["phoneme_mode"])
-    return ExperimentSpec(**values)
+    return ExperimentSpec(**{name: value for name, value in vars(args).items()
+                             if value is not None})
 
 
 def main(argv=None) -> int:

@@ -102,6 +102,8 @@ class LearnerConfig:
 
     def __post_init__(self):
         check_order(self.order)
+        # a mode's value names it too; an unknown name raises ValueError
+        object.__setattr__(self, "phoneme_mode", PhonemeMode(self.phoneme_mode))
 
 
 def segment(tables: CountTables, u: str, cfg: LearnerConfig) -> tuple[Segmentation, float]:

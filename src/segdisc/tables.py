@@ -64,10 +64,13 @@ class CountTables:
 
         Every token bumps its unigram count; adjacent pairs and triples
         bump bigram and trigram counts.  N-grams never span utterance
-        boundaries.  Phoneme counts move according to `mode`.  Words must
-        be non-empty, which also keeps "" out of the lexicon, and spelled
-        from the inventory, else UnknownPhoneme; a rejected call counts nothing.
+        boundaries.  Phoneme counts move according to `mode`, a PhonemeMode
+        or its value, else ValueError.  Words must be non-empty, which also
+        keeps "" out of the lexicon, and spelled from the inventory, else
+        UnknownPhoneme; a rejected call counts nothing.
         """
+        if type(mode) is not PhonemeMode:
+            mode = PhonemeMode(mode)
         words = tuple(words)
         if not words:
             raise ValueError("cannot commit an empty segmentation")

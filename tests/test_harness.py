@@ -376,11 +376,17 @@ def test_cli_internal_assertion_exits_2(monkeypatch, capsys):
     assert "internal check failed" in capsys.readouterr().err
 
 
-def test_worker_pool_matches_serial(sample_path, monkeypatch):
-    spec = spec_for("permute-average", sample_path, runs=3, block_size=10)
-    serial = run_permute_average(spec)
+@pytest.mark.parametrize("command, run, kwargs", [
+    ("permute-average", run_permute_average, {"runs": 3, "block_size": 10}),
+    ("train-sweep", run_train_sweep, {"runs": 3, "sweep_step": 5}),
+    ("lexicon-growth", run_lexicon_growth, {"runs": 3}),
+    ("phoneme-modes", run_phoneme_mode_matrix, {}),
+], ids=["permute-average", "train-sweep", "lexicon-growth", "phoneme-modes"])
+def test_worker_pool_matches_serial(sample_path, monkeypatch, command, run, kwargs):
+    spec = spec_for(command, sample_path, **kwargs)
+    serial = run(spec)
     monkeypatch.setenv("SEGDISC_THREADS", "3")
-    pooled = run_permute_average(spec)
+    pooled = run(spec)
     assert pooled == serial
 
 

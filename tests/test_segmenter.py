@@ -80,6 +80,23 @@ def test_learner_config_rejects_orders_that_are_not_ints(order):
         LearnerConfig(order=order)
 
 
+@pytest.mark.parametrize("mode", list(PhonemeMode))
+def test_learner_config_takes_a_mode_by_value(mode):
+    cfg = LearnerConfig(phoneme_mode=mode.value)
+    assert cfg == LearnerConfig(phoneme_mode=mode)
+    assert cfg.phoneme_mode is mode
+    t = CountTables()
+    process_utterance(t, "abab", cfg)
+    reference = CountTables()
+    reference.commit(["abab"], mode)
+    assert t.phonemes == reference.phonemes
+
+
+def test_learner_config_rejects_unknown_mode():
+    with pytest.raises(ValueError, match="not a valid PhonemeMode"):
+        LearnerConfig(phoneme_mode="bogus")
+
+
 # --- search ------------------------------------------------------------------
 
 def test_single_phoneme_has_no_boundary():

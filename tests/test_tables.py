@@ -120,7 +120,18 @@ def test_commit_rejects_unknown_symbols_without_counting(mode, words):
         t.commit(words, mode)
     with pytest.raises(UnknownPhoneme):
         train_utterance(t, words, LearnerConfig(order=3, phoneme_mode=mode))
+    with pytest.raises(ValueError, match="not a valid PhonemeMode"):
+        t.commit(["ab", "a"], "bogus")
     assert snapshot(t) == before
+
+
+@pytest.mark.parametrize("mode", list(PhonemeMode))
+def test_commit_takes_a_mode_by_value(sample_corpus, mode):
+    by_member, by_value = CountTables(), CountTables()
+    for utterance in sample_corpus:
+        by_member.commit(utterance.words, mode)
+        by_value.commit(utterance.words, mode.value)
+    assert snapshot(by_value) == snapshot(by_member)
 
 
 def lexicon_prefixes(t):
