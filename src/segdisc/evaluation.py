@@ -11,8 +11,9 @@ cumulative over every distinct word predicted so far.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, pairwise
 
 from .segmenter import Segmentation
 
@@ -41,10 +42,9 @@ class LexiconAudit:
     incorrect: int
 
 
-def word_spans(words) -> list[tuple[int, int]]:
+def word_spans(words) -> Iterator[tuple[int, int]]:
     """(start, end) character span of each word in the joined string."""
-    ends = list(accumulate(len(w) for w in words))
-    return list(zip([0] + ends, ends))
+    return pairwise(accumulate(map(len, words), initial=0))
 
 
 def score_utterance(predicted: Segmentation, reference) -> tuple[int, int, int]:
@@ -53,8 +53,7 @@ def score_utterance(predicted: Segmentation, reference) -> tuple[int, int, int]:
     if predicted.phonemes != "".join(reference):
         raise MismatchedUtterance(
             f"predicted stream {predicted.phonemes!r} does not match reference {' '.join(reference)!r}")
-    reference_spans = set(word_spans(reference))
-    correct = sum(1 for span in word_spans(predicted.words) if span in reference_spans)
+    correct = len(set(word_spans(reference)).intersection(word_spans(predicted.words)))
     return correct, len(predicted.words), len(reference)
 
 

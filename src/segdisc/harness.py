@@ -4,9 +4,11 @@ Every command is deterministic given its base seed: run r of an averaged
 experiment permutes the corpus with seed base_seed + r.  Runs are
 independent (each owns private count tables), so they can execute on a
 process pool; set SEGDISC_THREADS to bound the pool (default 1, serial).
-`_map_jobs` returns results in job order, serial or pooled, and run r is
-job r, so run order needs no sort and the pool size never changes any
-output.  Every per-utterance loop is the one incremental pass, `_pass`.
+Each pool worker receives the corpus once, when it starts; a job carries
+only its seed and settings.  `_map_jobs` returns results in job order,
+serial or pooled, and run r is job r, so run order needs no sort and the
+pool size never changes any output.  Every per-utterance loop is the one
+incremental pass, `_pass`.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import statistics
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 
 from .corpus import CorpusError, Utterance, load_corpus, permute, split_at
 from .estimator import word_score
@@ -172,18 +175,38 @@ def _worker_count(n_jobs: int) -> int:
     return min(workers, n_jobs)
 
 
-def _map_jobs(fn, jobs):
+# A pool worker's corpus, set once by _start_worker when the worker starts
+_worker_corpus = None
+
+
+def _start_worker(corpus):
+    global _worker_corpus
+    _worker_corpus = corpus
+
+
+def _call_with_corpus(fn, job):
+    return fn((_worker_corpus, *job))
+
+
+def _map_jobs(fn, corpus, jobs):
+    """[fn((corpus, *job)) for job in jobs], serial or on a process pool.
+
+    A pool worker receives the corpus once, as its initializer's argument:
+    inherited under fork, pickled once per worker under forkserver or spawn,
+    never once per job.
+    """
     workers = _worker_count(len(jobs))
     if workers == 1:
-        return [fn(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, jobs))
+        return [fn((corpus, *job)) for job in jobs]
+    with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
+                             initargs=(corpus,)) as pool:
+        return list(pool.map(_call_with_corpus, repeat(fn), jobs))
 
 
 def _seeded_runs(job, spec, corpus, *args):
     """(r, job((corpus, base_seed + r, *args))) for each run r, in run order."""
-    jobs = [(corpus, spec.base_seed + r, *args) for r in range(spec.runs)]
-    return tuple(enumerate(_map_jobs(job, jobs)))
+    jobs = [(spec.base_seed + r, *args) for r in range(spec.runs)]
+    return tuple(enumerate(_map_jobs(job, corpus, jobs)))
 
 
 def _pass(tables, corpus, cfg, rng=None):
@@ -413,10 +436,10 @@ def _matrix_job(args):
 def run_phoneme_mode_matrix(spec: ExperimentSpec) -> tuple[MatrixCell, ...]:
     """Whole-corpus scores for orders 1-3 crossed with the phoneme modes."""
     corpus = load_corpus(spec.corpus_path)
-    jobs = [(corpus, order, mode, spec.require_vowel, spec.lexicon_seen_only)
+    jobs = [(order, mode, spec.require_vowel, spec.lexicon_seen_only)
             for order in (1, 2, 3)
             for mode in (PhonemeMode.UNIFORM, PhonemeMode.LEXICON, PhonemeMode.SPEECH)]
-    return tuple(_map_jobs(_matrix_job, jobs))
+    return tuple(_map_jobs(_matrix_job, corpus, jobs))
 
 
 def run_segment(spec: ExperimentSpec) -> tuple[Segmentation, ...]:

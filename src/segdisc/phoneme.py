@@ -104,14 +104,15 @@ def parse_utterance(line: str) -> list[str]:
     """
     inventory = default_inventory()
     line = line.removesuffix("\n")
-    words = []
-    pos = 0
-    for token in line.split(" "):
-        if not token:
-            raise EmptyToken(pos)
-        inventory.check(token, pos)
-        words.append(token)
-        pos += len(token) + 1
+    words = line.split(" ")
+    if "" in words or not inventory.classes.keys() >= set(line.replace(" ", "")):
+        # the line is malformed: find the first fault, left to right
+        pos = 0
+        for token in words:
+            if not token:
+                raise EmptyToken(pos)
+            inventory.check(token, pos)
+            pos += len(token) + 1
     return words
 
 

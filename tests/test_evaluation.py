@@ -53,6 +53,24 @@ def test_correct_bounded_by_both_sides():
         assert 0 <= c <= min(p, r)
 
 
+def test_span_count_matches_a_membership_scan(sample_corpus):
+    def scan_count(predicted, reference):
+        ends = list(itertools.accumulate(len(w) for w in reference))
+        reference_spans = set(zip([0] + ends, ends))
+        ends = list(itertools.accumulate(len(w) for w in predicted.words))
+        correct = sum(1 for span in zip([0] + ends, ends) if span in reference_spans)
+        return correct, len(predicted.words), len(reference)
+
+    rng = random.Random(11)
+    for _ in range(20):
+        for utterance in sample_corpus:
+            n = len(utterance.raw)
+            bounds = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
+            predicted = Segmentation.from_boundaries(utterance.raw, bounds)
+            assert (score_utterance(predicted, utterance.words)
+                    == scan_count(predicted, utterance.words))
+
+
 # --- lexicon audit -----------------------------------------------------------
 
 def test_audit_lexicon_partition():

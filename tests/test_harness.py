@@ -1,4 +1,7 @@
+import copyreg
 import csv
+import multiprocessing
+import os
 import random
 import statistics
 import subprocess
@@ -6,6 +9,8 @@ import sys
 
 import pytest
 
+import segdisc
+from segdisc import Corpus
 from segdisc.harness import (CSV_FIELDS, ExperimentSpec, fit_sqrt_coefficient,
                              main, run_damn_british, run_eval,
                              run_fully_trained, run_lexicon_growth,
@@ -388,6 +393,47 @@ def test_worker_pool_matches_serial(sample_path, monkeypatch, command, run, kwar
     monkeypatch.setenv("SEGDISC_THREADS", "3")
     pooled = run(spec)
     assert pooled == serial
+
+
+def test_pool_receives_the_corpus_once_per_worker(sample_path, tmp_path, monkeypatch):
+    pickles = []
+
+    def count_corpus(corpus):
+        pickles.append(corpus)
+        return Corpus, (corpus.utterances,)
+
+    # the pool pickles in this process, through copyreg's dispatch table
+    monkeypatch.setitem(copyreg.dispatch_table, Corpus, count_corpus)
+    monkeypatch.setenv("SEGDISC_THREADS", "2")
+    assert main(["permute-average", "--corpus", str(sample_path), "--runs", "4",
+                 "--out", str(tmp_path / "runs.csv")]) == 0
+    assert len(pickles) <= 2
+
+
+_POOLED_MAIN = """
+import multiprocessing, sys
+from segdisc.harness import main
+multiprocessing.set_start_method(sys.argv[1], force=True)
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
+def test_pool_output_is_the_same_under_every_start_method(sample_path, tmp_path,
+                                                          monkeypatch, method):
+    monkeypatch.delenv("SEGDISC_THREADS", raising=False)
+    env = {**os.environ, "SEGDISC_THREADS": "2",
+           "PYTHONPATH": os.path.dirname(os.path.dirname(segdisc.__file__))}
+    for name, argv in [("permute", ["permute-average", "--runs", "3"]),
+                       ("modes", ["phoneme-modes"])]:
+        argv = [*argv, "--corpus", str(sample_path)]
+        serial, pooled = tmp_path / f"{name}-serial.csv", tmp_path / f"{name}-pooled.csv"
+        assert main(argv + ["--out", str(serial)]) == 0
+        proc = subprocess.run([sys.executable, "-c", _POOLED_MAIN, method, *argv,
+                               "--out", str(pooled)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert pooled.read_bytes() == serial.read_bytes()
 
 
 def test_module_entry_point(sample_path):

@@ -87,6 +87,34 @@ def test_parse_round_trips(words):
     assert " ".join(parse_utterance(line + "\n")) == line
 
 
+def scan_parse(line):
+    """The left-to-right token scan parse_utterance ran on every line."""
+    line = line.removesuffix("\n")
+    words = []
+    pos = 0
+    for token in line.split(" "):
+        if not token:
+            raise EmptyToken(pos)
+        INVENTORY.check(token, pos)
+        words.append(token)
+        pos += len(token) + 1
+    return words
+
+
+def parse_outcome(parse, line):
+    try:
+        return parse(line)
+    except (EmptyToken, UnknownPhoneme) as exc:
+        return type(exc), exc.args
+
+
+@given(st.text(alphabet=sorted(INVENTORY.symbols) + [" ", "\n", "\r", SENTINEL, "$"],
+               max_size=24))
+def test_parse_matches_the_token_scan(line):
+    # same words, or the same exception at the same position
+    assert parse_outcome(parse_utterance, line) == parse_outcome(scan_parse, line)
+
+
 def test_every_ascii_char_parses_or_raises():
     for ch in map(chr, range(128)):
         if ch in INVENTORY:
