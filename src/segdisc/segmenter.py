@@ -40,10 +40,19 @@ unsplit candidate is examined first and split points are visited left to
 right: at equal score the candidate keeping the whole remaining span as
 one word survives.  The order-2 and order-3 searches store no back-pointers.
 Once the best score is known, they rescan only the cells of the winning
-path, over every candidate the dense search compares there, and take the
-first candidate that reaches the cell's score: the one a strict `<` scan
-keeps.  That holds for rounding near-ties as well, where two different
-prefixes plus the same word score round to the same float.
+path and take, for each, the first start of the word before that reaches
+the cell's score: the one a strict `<` scan keeps.  That holds for rounding
+near-ties as well, where two different prefixes plus the same word score
+round to the same float.  The rescan tests on its own each start of a
+lexicon word ending where the cell's word starts, with its own bi or tri
+term, and at order 3 the first word read alone.  Every other start adds
+one shared term to a reading whose best value the forward pass stored,
+novel[j], and by the monotone rounding above none of them reaches the
+score unless novel[j] plus that term does.  Only then are they scanned, in
+increasing order up to the first lexicon start that reached it.  A word
+on the winning path so costs O(1 + h) for the h lexicon words ending where
+it starts, and O(n) at worst, when the word before it is outside the
+lexicon or ties with one that is.
 """
 
 from __future__ import annotations
@@ -210,12 +219,22 @@ def _search_bigram(scorer, u, limit):
     while j > 0:
         word = u[j:i]
         out.append(word)
-        # the dense scan's choice: the first k that reaches the cell's score
+        # the dense scan's choice: the first k that reaches the cell's score,
+        # each lexicon start tested alone, the others only if novel[j] + base
+        # reaches it (see the module docstring)
         target = state[j][i]
+        before = starts[j]
         base = costs[i][j] - escape2
-        k = 0
-        while state[k][j] + (bi(starts[j][k], word) if k in starts[j] else base) != target:
-            k += 1
+        k = j
+        for t, prev in before.items():
+            if state[t][j] + bi(prev, word) == target:
+                k = t
+                break
+        if novel[j] + base == target:
+            t = 0
+            while t < k and (t in before or state[t][j] + base != target):
+                t += 1
+            k = t
         i, j = j, k
     out.append(u[:i])
     out.reverse()
@@ -296,36 +315,52 @@ def _search_trigram(scorer, u, limit, bigram_counts):
         novel[i] = shared
         ending[i] = overall
 
-    def cell(k, j, i):
-        """The dense search's score for u[:i] ending in words u[k:j], u[j:i]."""
-        if k in split[j][i]:
-            return split[j][i][k]
-        base = costs[i][j] - escape2
-        return firsts[j] + base if k == 0 else best[k][j] + (base - escape3)
-
-    # the unsplit reading is examined first, then pairs (j, n) and their k
-    # in increasing order; the first to reach the best score wins
-    score = min([firsts[n]] + [best[j][n] for j in range(1, n)])
-    if score == firsts[n]:
+    # the unsplit reading is examined first, then pairs (j, n) in
+    # increasing j; the first to reach the best score wins
+    last = [firsts[n]] + [best[j][n] for j in range(1, n)]
+    score = min(last)
+    j = last.index(score)
+    if not j:
         return [u], score
-    j = next(j for j in range(1, n) if best[j][n] == score)
-    k = next(k for k in range(j) if cell(k, j, n) == score)
+    # Each step takes a pair (j, i) of the winning path, reached at score
+    # `target` with next word v, and finds the first k whose reading u[k:j],
+    # u[j:i] plus tri(u[k:j], u[j:i], v) reaches the target; at the last
+    # pair there is no v and the term is 0.0.  k = 0 and each lexicon start
+    # are tested alone, the other k only if novel[j] can reach the target
     out = [u[j:]]
+    target = score
     i = n
-    while True:
-        out.append(u[k:j])
-        if k == 0:
-            break
-        # after a third-back word outside the lexicon, tri is tri("", ...)
-        target = cell(k, j, i)
-        prev1 = u[k:j]
+    v = None
+    while j:
         word = u[j:i]
-        before = starts[k]
-        other = tri("", prev1, word)
-        t = 0
-        while cell(t, k, j) + (tri(before[t], prev1, word) if t in before else other) != target:
-            t += 1
-        k, j, i = t, k, j
+        before = starts[j]
+        pair = split[j][i]
+        base = costs[i][j] - escape2
+        added = base - escape3
+        seen = (word, v) in bigram_counts
+        other = tri("", word, v) if v else 0.0
+        opening = firsts[j] + base
+        if 0 not in before and opening + other == target:
+            k = 0
+            found = opening
+        else:
+            k = j
+            for t, prev in before.items():
+                value = pair[t] if t in pair else (best[t][j] + added if t else opening)
+                if value + (tri(prev, word, v) if seen else other) == target:
+                    k = t
+                    found = value
+                    break
+            if novel[j] + added + other == target:
+                t = 1
+                while t < k and (t in before or best[t][j] + added + other != target):
+                    t += 1
+                if t < k:
+                    k = t
+                    found = best[t][j] + added
+        out.append(u[k:j])
+        target = found
+        j, i, v = k, j, word
     out.reverse()
     return out, score
 

@@ -93,6 +93,57 @@ def test_random_states_match_dense_search(order, mode):
             assert_same_as_oracle(t, u, cfg)
 
 
+# The rescan tests each lexicon start on its own and scans the other starts
+# only when their stored least value can reach the cell's score.  These
+# states make that choice matter: one word is frequent on its own, so a seen
+# bigram after it can score worse than a back-off, and a word outside the
+# lexicon then wins over a lexicon word; short utterances over few symbols
+# give exact ties between the two kinds of start.
+RESCAN_POOL = ["a", "b", "t", "I", "ab", "ba", "It", "tI", "bb", "aba", "tIb", "Ita", "bIt"]
+
+
+def rescan_tables(rng, mode):
+    t = CountTables()
+    frequent = [rng.choice(RESCAN_POOL[:4])]
+    for _ in range(rng.randint(0, 12)):
+        t.commit(frequent, mode)
+    for _ in range(rng.randint(0, 4)):
+        t.commit(rng.choices(RESCAN_POOL + frequent * 4, k=rng.randint(2, 4)), mode)
+    return t
+
+
+@pytest.mark.parametrize("mode", list(PhonemeMode))
+@pytest.mark.parametrize("order", [2, 3])
+def test_rescan_over_random_states_matches_dense_search(order, mode):
+    rng = random.Random(f"rescan-{order}-{mode.value}")
+    for _ in range(1000):
+        t = rescan_tables(rng, mode)
+        u = "".join(rng.choices(SYMBOLS, k=rng.randint(1, 8)))
+        for require_vowel in (False, True):
+            cfg = LearnerConfig(order=order, phoneme_mode=mode,
+                                require_vowel=require_vowel)
+            assert_same_as_oracle(t, u, cfg)
+
+
+def test_seen_bigram_starts_do_not_bound_the_other_starts():
+    # The winner is "t", "at", "t".  At its last pair the best reading of
+    # "tat" ends in the lexicon word "t", but "t", "t" is a seen bigram, so
+    # that start adds its own tri term, not the shared one; the winner's
+    # word before, "at", is outside the lexicon.  A bound taken over every
+    # start, lexicon starts included, lies below the score and would skip
+    # the scan that finds "at".
+    mode = PhonemeMode.UNIFORM
+    t = CountTables()
+    for _ in range(9):
+        t.commit(["t"], mode)
+    for words in (["t", "t"], ["t", "b"], ["It", "t", "It"]):
+        t.commit(words, mode)
+    cfg = LearnerConfig(order=3, phoneme_mode=mode)
+    seg = assert_same_as_oracle(t, "tatt", cfg)
+    assert seg.words == ("t", "at", "t")
+    assert segment(t, "tatt", cfg)[1].hex() == "0x1.075bd6e7bc910p+4"
+
+
 @pytest.mark.parametrize("order", [2, 3])
 def test_long_utterances_over_a_dense_lexicon_match_dense_search(order):
     # after these commits nearly every substring of up to three phonemes
