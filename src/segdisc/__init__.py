@@ -14,9 +14,8 @@ from .estimator import p_bigram, p_sigma, p_trigram, p_unigram, word_score
 from .evaluation import (BlockScores, InfeasibleBoundaryCount, LexiconAudit,
                          MismatchedUtterance, audit_lexicon, random_baseline,
                          score_blocks, score_utterance)
-from .phoneme import (SENTINEL, EmptyToken, PhonemeClass, PhonemeInventory,
-                      UnknownPhoneme, default_inventory, is_vowel_bearing,
-                      parse_utterance)
+from .phoneme import (SENTINEL, EmptyToken, PhonemeInventory, UnknownPhoneme,
+                      default_inventory, is_vowel_bearing, parse_utterance)
 from .segmenter import (LearnerConfig, Segmentation, process_utterance,
                         segment, train_utterance)
 from .tables import CountTables, PhonemeMode
@@ -24,7 +23,7 @@ from .tables import CountTables, PhonemeMode
 __version__ = "0.1.0"
 
 __all__ = [
-    "SENTINEL", "PhonemeClass", "PhonemeInventory", "UnknownPhoneme",
+    "SENTINEL", "PhonemeInventory", "UnknownPhoneme",
     "EmptyToken", "default_inventory", "parse_utterance", "is_vowel_bearing",
     "Corpus", "CorpusError", "Utterance", "load_corpus",
     "save_corpus", "permute", "split_at",

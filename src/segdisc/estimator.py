@@ -10,10 +10,10 @@ The probability functions p_* return plain floats by default; passing
 exact=True switches the arithmetic to fractions.Fraction for identity
 checks.  Each picks its division once per call, so both kinds of number
 go through the same operations in the same order.  Scoring works in
-negative natural log units through one implementation of the chain,
-`_log_chain`, which both `word_score` and the boundary search's
-`UtteranceScorer` use; it accumulates per phoneme, so long novel words
-cannot underflow.
+negative natural log units through one chain per table state, `_log_chain`,
+built on first use after a commit and kept in `tables.score_cache`; both
+`word_score` and the boundary search's `UtteranceScorer` read it.  It
+accumulates per phoneme, so long novel words cannot underflow.
 """
 
 from __future__ import annotations
@@ -87,15 +87,17 @@ def p_trigram(tables: CountTables, prev2: str, prev1: str, word: str,
     return base if denom == 0 else ratio(tables.n3, denom) * base
 
 
-def _log_chain(tables: CountTables, symbols):
+def _log_chain(tables: CountTables):
     """The back-off chain in negative natural log units.
 
     Returns (uni, bi, tri, substrings, escapes).  uni(w), bi(prev, w) and
     tri(prev2, prev1, w) are -ln of p_unigram, p_bigram and p_trigram,
     accumulated per phoneme so that long novel words cannot underflow.
-    `symbols` must hold every phoneme of every word later scored; context
-    words are only looked up, never spelled.  The table aggregates are read
-    once, so the tables must not change while the functions are in use.
+    The table aggregates are read once, so the chain holds for one table
+    state only; `_chain` builds it on first use after a commit.  A phoneme's
+    log is computed on first use: substrings(u) fills the symbols of u, and
+    uni those of a word it spells, which the caller must have checked
+    against the inventory; context words are only looked up, never spelled.
     Unigram scores are memoized per word.
 
     escapes = (e2, e3) are the logs of the bigram and trigram escape masses,
@@ -115,9 +117,11 @@ def _log_chain(tables: CountTables, symbols):
     total = tables.phoneme_total
     sentinel = counts[SENTINEL]
     sigma_head = -log(sentinel / (total - sentinel))
-    char_logs = {}
-    for ch in symbols:
-        char_logs[ch] = log(counts[ch] / total)
+    char_logs: dict[str, float] = {}
+
+    def fill(text: str) -> None:
+        for ch in set(text).difference(char_logs):
+            char_logs[ch] = log(counts[ch] / total)
 
     unigram_counts = tables.unigrams
     prefixes = tables.prefixes
@@ -133,6 +137,7 @@ def _log_chain(tables: CountTables, symbols):
             if count > 0:
                 value = -log(count / denom1)
             else:
+                fill(word)
                 value = sigma_head
                 for ch in word:
                     value -= char_logs[ch]
@@ -141,6 +146,7 @@ def _log_chain(tables: CountTables, symbols):
         return value
 
     def substrings(u: str) -> tuple[list[list[float]], list[dict[int, str]]]:
+        fill(u)
         n = len(u)
         starts = [{} for _ in range(n + 1)]
         for j in range(n):
@@ -187,6 +193,15 @@ def _log_chain(tables: CountTables, symbols):
     return uni, bi, tri, substrings, (log_escape2, log_escape3)
 
 
+def _chain(tables: CountTables):
+    """The tables' back-off chain, built on first use after a commit; commit
+    clears `tables.score_cache`, so every reader sees the current counts."""
+    chain = tables.score_cache
+    if chain is None:
+        chain = tables.score_cache = _log_chain(tables)
+    return chain
+
+
 def check_order(order) -> None:
     """Raise ValueError unless `order` is the int 1, 2 or 3."""
     if type(order) is not int or order not in (1, 2, 3):
@@ -201,39 +216,34 @@ def word_score(tables: CountTables, context, word: str, order: int) -> float:
     available and the estimate falls to the matching lower order: the first
     word is scored as a unigram, the second word of a trigram model as a
     bigram.  The result is always finite.  The empty word is rejected,
-    since the spelling model gives it no mass, and so is a word to be
-    spelled that holds a symbol outside the inventory, the end-of-word
-    sentinel included (UnknownPhoneme).
+    since the spelling model gives it no mass, and so is a word that holds
+    a symbol outside the inventory, the end-of-word sentinel included
+    (UnknownPhoneme).  The score comes from the tables' one chain, which
+    the boundary search reads too.
     """
     check_order(order)
     if not word:
         raise ValueError("cannot score an empty word")
+    tables.inventory.check(word)
     have = min(order - 1, len(context))
-    chain = tables.score_cache
-    if chain is None:
-        chain = tables.score_cache = _log_chain(tables, tables.inventory.symbols)
-    try:
-        return chain[have](*context[len(context) - have:], word)
-    except KeyError:
-        # the chain can spell inventory phonemes only
-        tables.inventory.check(word)
-        raise
+    return _chain(tables)[have](*context[len(context) - have:], word)
 
 
 class UtteranceScorer:
-    """The substring costs of one utterance plus the log-domain back-off chain.
+    """One utterance's view of the tables' shared back-off chain.
 
-    `costs` and `starts` are `_log_chain`'s substrings(u): costs[i][j] is
+    `costs` and `starts` are the chain's substrings(u): costs[i][j] is
     uni(u[j:i]), built one end position at a time in O(n^2) float
     subtractions, and starts[i] maps each start of a lexicon word ending at i
     to that word, found by lookups along lexicon prefixes only.  The search
-    reads them and scores lexicon words with bi, tri and `escapes`, so
-    every score is bit-identical to the equivalent word_score call.  The
-    tables must not change while the scorer lives.
+    reads them and scores lexicon words with the chain's bi, tri and
+    `escapes`, the same chain word_score reads, so every score is
+    bit-identical to the equivalent word_score call.  The scorer builds no
+    chain of its own, and the tables must not change while it lives.
     """
 
     __slots__ = ("costs", "starts", "escapes", "uni", "bi", "tri")
 
     def __init__(self, tables: CountTables, u: str):
-        self.uni, self.bi, self.tri, substrings, self.escapes = _log_chain(tables, set(u))
+        self.uni, self.bi, self.tri, substrings, self.escapes = _chain(tables)
         self.costs, self.starts = substrings(u)

@@ -2,26 +2,20 @@
 
 Each phoneme is a single ASCII character; a word is an unbroken run of
 phoneme characters and an utterance is a line of words separated by single
-spaces.  The alphabet has three classes: consonants, vowels and r-colored
-vowels.  Note that '#' is an ordinary phoneme here (the vowel of "arm");
-the end-of-word sentinel used by the spelling model is a separate reserved
-symbol outside the alphabet.
+spaces.  The alphabet has consonants, vowels and r-colored vowels; the
+learner reads only whether a symbol is a vowel of either kind.  Note that
+'#' is an ordinary phoneme here (the vowel of "arm"); the end-of-word
+sentinel used by the spelling model is a separate reserved symbol outside
+the alphabet.
 """
 
 from __future__ import annotations
 
-from enum import Enum
 from functools import lru_cache
 
 #: End-of-word marker for the phoneme spelling model.  Kept outside the
 #: ASCII alphabet because '#' itself transcribes the vowel of "arm".
 SENTINEL = "¶"
-
-
-class PhonemeClass(Enum):
-    CONSONANT = "consonant"
-    VOWEL = "vowel"
-    VOWEL_R = "vowel_r"
 
 
 # One character per phoneme.  The less obvious codes: 'N' sing, 'T' thin,
@@ -55,17 +49,15 @@ class EmptyToken(ValueError):
 
 
 class PhonemeInventory:
-    """The fixed transcription alphabet with a class for every symbol."""
+    """The fixed transcription alphabet and its vowels."""
 
     def __init__(self) -> None:
-        classes = dict.fromkeys(CONSONANTS, PhonemeClass.CONSONANT)
-        classes.update(dict.fromkeys(VOWELS, PhonemeClass.VOWEL))
-        classes.update(dict.fromkeys(VOWELS_R, PhonemeClass.VOWEL_R))
         self.symbols: tuple[str, ...] = tuple(CONSONANTS + VOWELS + VOWELS_R)
-        self.classes = classes
+        self.symbol_set = frozenset(self.symbols)
+        self.vowels = frozenset(VOWELS + VOWELS_R)
 
     def __contains__(self, symbol: str) -> bool:
-        return symbol in self.classes
+        return symbol in self.symbol_set
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -74,17 +66,13 @@ class PhonemeInventory:
         """Raise UnknownPhoneme for the first symbol of `text` outside the
         alphabet, the end-of-word sentinel included; positions count from
         `offset`."""
-        if not self.classes.keys() >= set(text):
-            position = next(p for p, ch in enumerate(text) if ch not in self.classes)
+        if not self.symbol_set.issuperset(text):
+            position = next(p for p, ch in enumerate(text) if ch not in self.symbol_set)
             raise UnknownPhoneme(text[position], offset + position)
-
-    def phoneme_class(self, symbol: str) -> PhonemeClass:
-        return self.classes[symbol]
 
     def is_vowel(self, symbol: str) -> bool:
         """True for plain vowels and r-colored vowels."""
-        cls = self.classes.get(symbol)
-        return cls is PhonemeClass.VOWEL or cls is PhonemeClass.VOWEL_R
+        return symbol in self.vowels
 
 
 @lru_cache(maxsize=1)
@@ -105,7 +93,7 @@ def parse_utterance(line: str) -> list[str]:
     inventory = default_inventory()
     line = line.removesuffix("\n")
     words = line.split(" ")
-    if "" in words or not inventory.classes.keys() >= set(line.replace(" ", "")):
+    if "" in words or not inventory.symbol_set.issuperset(line.replace(" ", "")):
         # the line is malformed: find the first fault, left to right
         pos = 0
         for token in words:

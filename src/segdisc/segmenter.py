@@ -3,8 +3,9 @@
 `segment` finds the segmentation of an unsegmented phoneme string with the
 lowest total negative log probability under the configured model order,
 by dynamic programming over prefix end positions.  Every model order
-scores words through the one log-domain back-off chain of
-`estimator.UtteranceScorer`: it gives each substring's unigram cost and
+scores words through the tables' one log-domain back-off chain, the one
+`word_score` reads, built on first use after a commit: its
+`estimator.UtteranceScorer` view gives each substring's unigram cost and
 the lexicon words among them, and the chain is called only for those.  A
 word u[j:i] may start at any j < limit[i], the start bound: one past the
 last vowel before i under the vowel rule, i without it.  Under the rule an
@@ -30,10 +31,10 @@ The search visits O(n^2) cells (pairs of end positions) of an n-phoneme
 utterance, where the dense searches took O(n^3) and O(n^4).  At orders 2
 and 3 a lexicon word's cell costs O(1 + h) for the h lexicon words ending
 where it starts, plus at order 3 the splits stored for each that forms a
-seen bigram with it; every other cell costs O(1).  `UtteranceScorer` takes
-O(n^2) float subtractions, one column costs[i] per end position, plus
-lookups only along lexicon prefixes; words are sliced only for lexicon
-cells and on the winning path.
+seen bigram with it; every other cell costs O(1).  The scorer's cost
+columns take O(n^2) float subtractions, one column costs[i] per end
+position, plus lookups only along lexicon prefixes; words are sliced only
+for lexicon cells and on the winning path.
 
 Ties are resolved exactly as a strict `score < best` update does when the
 unsplit candidate is examined first and split points are visited left to

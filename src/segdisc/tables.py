@@ -38,8 +38,9 @@ class CountTables:
     for concurrent mutation.  `prefixes` holds every non-empty prefix of
     every lexicon word, the words included, extended in O(len w) per new
     word w; the scorer walks an utterance along it.  `score_cache` holds
-    the back-off chain that `estimator.word_score` builds for the current
-    counts; `commit` clears it.
+    the one back-off chain of the current counts, which `estimator` builds
+    on first use and both `segment` and `word_score` read; `commit` clears
+    it.
     """
 
     __slots__ = ("inventory", "unigrams", "bigrams", "trigrams", "phonemes",
@@ -119,22 +120,3 @@ class CountTables:
             phonemes[ch] += 1
         phonemes[SENTINEL] += 1
         self.phoneme_total += len(word) + 1
-
-    def phoneme_freq(self, symbol: str) -> float:
-        """Relative frequency f of a phoneme or of the sentinel."""
-        return self.phonemes[symbol] / self.phoneme_total
-
-    def stats(self) -> tuple[int, int, int, int, int, int]:
-        """(N1, N2, N3, S1, S2, S3): distinct keys and count sums per order."""
-        return (self.n1, self.n2, self.n3, self.s1, self.s2, self.s3)
-
-    def dump(self, stream) -> None:
-        """Debug dump, one `kind<TAB>key<TAB>count` line per entry."""
-        for w, c in sorted(self.unigrams.items()):
-            stream.write(f"unigram\t{w}\t{c}\n")
-        for (a, b), c in sorted(self.bigrams.items()):
-            stream.write(f"bigram\t{a} {b}\t{c}\n")
-        for (a, b, w), c in sorted(self.trigrams.items()):
-            stream.write(f"trigram\t{a} {b} {w}\t{c}\n")
-        for p, c in sorted(self.phonemes.items()):
-            stream.write(f"phoneme\t{'<end>' if p == SENTINEL else p}\t{c}\n")

@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from segdisc import (SENTINEL, CountTables, PhonemeMode, UnknownPhoneme,
+from segdisc import (SENTINEL, CountTables, LearnerConfig, PhonemeMode, UnknownPhoneme,
                      default_inventory, p_bigram, p_sigma, p_trigram, p_unigram,
-                     word_score)
+                     segment, word_score)
 from segdisc.estimator import UtteranceScorer
 
 F = Fraction
@@ -363,3 +363,67 @@ def test_spelling_pass_repeated_substrings():
     t.commit(["abab"], PhonemeMode.SPEECH)
     assert_pass_is_bit_identical(t, "ab" * 20)
     assert_pass_is_bit_identical(t, "aabaabbab" * 3)
+
+
+# --- one chain per table state ----------------------------------------------
+
+def cache_free_answer(accepted, mode, query):
+    """The query's answer from fresh tables that replay only the accepted
+    commits and are asked nothing else."""
+    t = CountTables()
+    for words in accepted:
+        t.commit(words, mode)
+    return query(t)
+
+
+@pytest.mark.parametrize("mode", list(PhonemeMode))
+def test_cache_history_never_changes_a_score(mode):
+    # segment and word_score share one chain per table state: whatever was
+    # asked of it before, and whichever commits were rejected, every answer
+    # must equal the one a table with no history gives
+    rng = random.Random(f"cache-history-{mode.value}")
+    pool = ["a", "b", "ab", "ba", "aab", "bI", "tIb", "Ita", "kEt"]
+    symbols = "abItkE"
+    t = CountTables()
+    accepted = []
+    for _ in range(250):
+        if rng.random() < 0.4:
+            words = rng.choices(pool, k=rng.randint(1, 4))
+            fault = rng.random()
+            if fault < 0.15:
+                words.insert(rng.randint(0, len(words)), rng.choice(["aé", "b" + SENTINEL]))
+                with pytest.raises(UnknownPhoneme):
+                    t.commit(words, mode)
+            elif fault < 0.25:
+                words.insert(rng.randint(0, len(words)), "")
+                with pytest.raises(ValueError, match="empty word"):
+                    t.commit(words, mode)
+            else:
+                t.commit(words, mode)
+                accepted.append(words)
+        for _ in range(rng.randint(1, 3)):
+            kind = rng.random()
+            if kind < 0.45:
+                u = "".join(rng.choices(symbols, k=rng.randint(1, 14)))
+                cfg = LearnerConfig(rng.randint(1, 3), mode, rng.random() < 0.3)
+
+                def query(tables):
+                    seg, score = segment(tables, u, cfg)
+                    return seg.words, score.hex()
+            elif kind < 0.9:
+                context = tuple(rng.choice([rng.choice(pool), "".join(rng.choices(symbols, k=3))])
+                                for _ in range(rng.randint(0, 2)))
+                word = rng.choice([rng.choice(pool),
+                                   "".join(rng.choices(symbols, k=rng.randint(1, 8)))])
+                order = rng.randint(1, 3)
+
+                def query(tables):
+                    return word_score(tables, context, word, order).hex()
+            else:
+                # a rejected query must leave the chain as it was
+                with pytest.raises(UnknownPhoneme):
+                    word_score(t, ("ab",), "a" + SENTINEL, rng.randint(1, 3))
+                with pytest.raises(UnknownPhoneme):
+                    segment(t, "ab" + SENTINEL, LearnerConfig(rng.randint(1, 3), mode))
+                continue
+            assert query(t) == cache_free_answer(accepted, mode, query)

@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from segdisc import (SENTINEL, EmptyToken, PhonemeClass, UnknownPhoneme,
-                     default_inventory, is_vowel_bearing, parse_utterance)
+from segdisc import (SENTINEL, EmptyToken, UnknownPhoneme, default_inventory,
+                     is_vowel_bearing, parse_utterance)
 from segdisc.phoneme import CONSONANTS, VOWELS, VOWELS_R
 
 INVENTORY = default_inventory()
@@ -17,15 +17,21 @@ def test_inventory_sizes():
 
 
 def test_inventory_classes_total():
+    # every symbol is a consonant, a vowel or an r-colored vowel, and only
+    # the last two count as vowels
+    assert sorted(CONSONANTS + VOWELS + VOWELS_R) == sorted(INVENTORY.symbols)
     for symbol in INVENTORY.symbols:
-        assert INVENTORY.phoneme_class(symbol) in PhonemeClass
+        assert symbol in INVENTORY
+        assert INVENTORY.is_vowel(symbol) == (symbol not in CONSONANTS)
+    assert INVENTORY.vowels == set(VOWELS + VOWELS_R)
+    assert not INVENTORY.is_vowel(SENTINEL)
 
 
 def test_sentinel_outside_alphabet():
     assert SENTINEL not in INVENTORY
     assert not SENTINEL.isascii()
     # '#' is the vowel of "arm", not the sentinel
-    assert INVENTORY.phoneme_class("#") is PhonemeClass.VOWEL_R
+    assert "#" in VOWELS_R and INVENTORY.is_vowel("#")
     assert SENTINEL != "#"
 
 
@@ -46,7 +52,7 @@ def test_parse_strips_one_trailing_newline():
 def test_parse_hash_is_a_phoneme():
     words = parse_utterance("&nd WAt # Doz")
     assert words == ["&nd", "WAt", "#", "Doz"]
-    assert INVENTORY.phoneme_class("#") is PhonemeClass.VOWEL_R
+    assert "#" in VOWELS_R and INVENTORY.is_vowel("#")
 
 
 def test_parse_rejects_unknown_character():

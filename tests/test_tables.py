@@ -1,4 +1,3 @@
-import io
 import random
 
 import pytest
@@ -9,13 +8,18 @@ from segdisc import (SENTINEL, CountTables, LearnerConfig, PhonemeMode,
 EVENT_SPACE = 51  # 50 phonemes plus the sentinel
 
 
+def aggregates(t):
+    """(N1, N2, N3, S1, S2, S3): distinct keys and count sums per order."""
+    return (t.n1, t.n2, t.n3, t.s1, t.s2, t.s3)
+
+
 def test_uniform_initialization():
     t = CountTables()
-    assert t.stats() == (0, 0, 0, 0, 0, 0)
+    assert aggregates(t) == (0, 0, 0, 0, 0, 0)
     assert len(t.phonemes) == EVENT_SPACE
     assert t.phoneme_total == EVENT_SPACE
-    assert t.phoneme_freq(SENTINEL) == 1 / EVENT_SPACE
-    freqs = {t.phoneme_freq(p) for p in t.phonemes}
+    assert t.phonemes[SENTINEL] / t.phoneme_total == 1 / EVENT_SPACE
+    freqs = {t.phonemes[p] / t.phoneme_total for p in t.phonemes}
     assert freqs == {1 / EVENT_SPACE}
 
 
@@ -87,7 +91,7 @@ def test_damn_british_state_stats():
         t.commit(["D&m"])
     for _ in range(7):
         t.commit(["brItIS"])
-    n1, n2, n3, s1, s2, s3 = t.stats()
+    n1, n2, n3, s1, s2, s3 = aggregates(t)
     assert (n1, s1) == (3, 10)
     assert n2 == s2 == n3 == s3 == 0
 
@@ -102,12 +106,12 @@ def test_commit_rejects_empty():
         t.commit(["", "ab"])
     with pytest.raises(ValueError, match="empty word"):
         train_utterance(t, ["", "a"], LearnerConfig(order=2))
-    assert t.stats() == (0, 0, 0, 0, 0, 0) and t.unigrams == {}
+    assert aggregates(t) == (0, 0, 0, 0, 0, 0) and t.unigrams == {}
 
 
 def snapshot(t):
     return (dict(t.unigrams), dict(t.bigrams), dict(t.trigrams),
-            dict(t.phonemes), t.phoneme_total, t.stats(), set(t.prefixes))
+            dict(t.phonemes), t.phoneme_total, aggregates(t), set(t.prefixes))
 
 
 @pytest.mark.parametrize("mode", list(PhonemeMode))
@@ -196,7 +200,7 @@ def test_cached_aggregates_match_recount():
         words = rng.choices(pool, k=rng.randint(1, 6))
         t.commit(words, rng.choice(list(PhonemeMode)))
         assert t.phoneme_total == sum(t.phonemes.values())
-    n1, n2, n3, s1, s2, s3 = t.stats()
+    n1, n2, n3, s1, s2, s3 = aggregates(t)
     assert (n1, n2, n3, s1, s2, s3) == _recount(t)
     assert s1 >= n1 and s2 >= n2 and s3 >= n3
 
@@ -213,16 +217,3 @@ def test_commit_order_independent_for_unigrams_and_phonemes():
     assert forward.phonemes == backward.phonemes
     assert forward.bigrams == backward.bigrams
     assert forward.trigrams == backward.trigrams
-
-
-def test_dump_format():
-    t = CountTables()
-    t.commit(["tu", "mi", "lUk"])
-    buffer = io.StringIO()
-    t.dump(buffer)
-    lines = buffer.getvalue().splitlines()
-    assert "unigram\ttu\t1" in lines
-    assert "bigram\ttu mi\t1" in lines
-    assert "trigram\ttu mi lUk\t1" in lines
-    assert "phoneme\t<end>\t4" in lines
-    assert all(len(line.split("\t")) == 3 for line in lines)
