@@ -49,15 +49,6 @@ class Corpus:
     def __getitem__(self, index) -> Utterance:
         return self.utterances[index]
 
-    @property
-    def word_count(self) -> int:
-        return sum(len(u.words) for u in self.utterances)
-
-    @property
-    def char_count(self) -> int:
-        """Size counting one space between words and one newline per line."""
-        return sum(len(u.raw) + len(u.words) for u in self.utterances)
-
     def lexicon(self) -> set[str]:
         """All distinct reference words."""
         return {w for u in self.utterances for w in u.words}

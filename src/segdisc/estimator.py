@@ -1,10 +1,11 @@
 """Word probabilities with escape-mass back-off.
 
 At each n-gram order k the mass N_k/(N_k+S_k) is reserved for events never
-seen at that order (N_k distinct events seen, S_k their total count); an
-unseen event receives that escape mass times the estimate one order down.
-The chain ends in a phoneme spelling model that gives positive probability
-to every possible word, so every query is answerable.
+seen at that order (N_k distinct events seen, the size of that order's
+table, S_k their total count); an unseen event receives that escape mass
+times the estimate one order down.  The chain ends in a phoneme spelling
+model that gives positive probability to every possible word, so every
+query is answerable.
 
 The probability functions p_* return plain floats by default; passing
 exact=True switches the arithmetic to fractions.Fraction for identity
@@ -52,11 +53,11 @@ def p_unigram(tables: CountTables, word: str, exact: bool = False):
     """
     ratio = Fraction if exact else operator.truediv
     count = tables.unigrams.get(word, 0)
-    denom = tables.n1 + tables.s1
+    denom = len(tables.unigrams) + tables.s1
     if count > 0:
         return ratio(count, denom)
     base = p_sigma(tables, word, exact)
-    return base if denom == 0 else ratio(tables.n1, denom) * base
+    return base if denom == 0 else ratio(len(tables.unigrams), denom) * base
 
 
 def p_bigram(tables: CountTables, prev: str, word: str, exact: bool = False):
@@ -68,11 +69,11 @@ def p_bigram(tables: CountTables, prev: str, word: str, exact: bool = False):
     """
     ratio = Fraction if exact else operator.truediv
     count = tables.bigrams.get((prev, word), 0)
-    denom = tables.n2 + tables.s2
+    denom = len(tables.bigrams) + tables.s2
     if count > 0:
         return ratio(tables.s2, denom) * ratio(count, tables.unigrams[prev])
     base = p_unigram(tables, word, exact)
-    return base if denom == 0 else ratio(tables.n2, denom) * base
+    return base if denom == 0 else ratio(len(tables.bigrams), denom) * base
 
 
 def p_trigram(tables: CountTables, prev2: str, prev1: str, word: str,
@@ -80,11 +81,11 @@ def p_trigram(tables: CountTables, prev2: str, prev1: str, word: str,
     """(S3/(N3+S3)) * C(prev2,prev1,w)/C(prev2,prev1) if seen, else back off."""
     ratio = Fraction if exact else operator.truediv
     count = tables.trigrams.get((prev2, prev1, word), 0)
-    denom = tables.n3 + tables.s3
+    denom = len(tables.trigrams) + tables.s3
     if count > 0:
         return ratio(tables.s3, denom) * ratio(count, tables.bigrams[(prev2, prev1)])
     base = p_bigram(tables, prev1, word, exact)
-    return base if denom == 0 else ratio(tables.n3, denom) * base
+    return base if denom == 0 else ratio(len(tables.trigrams), denom) * base
 
 
 def _log_chain(tables: CountTables):
@@ -125,9 +126,9 @@ def _log_chain(tables: CountTables):
 
     unigram_counts = tables.unigrams
     prefixes = tables.prefixes
-    denom1 = tables.n1 + tables.s1
+    denom1 = len(unigram_counts) + tables.s1
     # with nothing observed there is no escape term, and x - 0.0 == x
-    log_escape1 = log(tables.n1 / denom1) if denom1 > 0 else 0.0
+    log_escape1 = log(len(unigram_counts) / denom1) if denom1 > 0 else 0.0
     uni_cache: dict[str, float] = {}
 
     def uni(word: str) -> float:
@@ -169,9 +170,9 @@ def _log_chain(tables: CountTables):
         return costs, starts
 
     bigram_counts = tables.bigrams
-    denom2 = tables.n2 + tables.s2
+    denom2 = len(bigram_counts) + tables.s2
     bi_head = -log(tables.s2 / denom2) if tables.s2 > 0 else None
-    log_escape2 = log(tables.n2 / denom2) if denom2 > 0 else 0.0
+    log_escape2 = log(len(bigram_counts) / denom2) if denom2 > 0 else 0.0
 
     def bi(prev: str, word: str) -> float:
         count = bigram_counts.get((prev, word), 0)
@@ -180,9 +181,9 @@ def _log_chain(tables: CountTables):
         return uni(word) - log_escape2
 
     trigram_counts = tables.trigrams
-    denom3 = tables.n3 + tables.s3
+    denom3 = len(trigram_counts) + tables.s3
     tri_head = -log(tables.s3 / denom3) if tables.s3 > 0 else None
-    log_escape3 = log(tables.n3 / denom3) if denom3 > 0 else 0.0
+    log_escape3 = log(len(trigram_counts) / denom3) if denom3 > 0 else 0.0
 
     def tri(prev2: str, prev1: str, word: str) -> float:
         count = trigram_counts.get((prev2, prev1, word), 0)

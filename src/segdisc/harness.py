@@ -1,14 +1,17 @@
 """Experiment harness and command line interface.
 
-Every command is deterministic given its base seed: run r of an averaged
-experiment permutes the corpus with seed base_seed + r.  Runs are
-independent (each owns private count tables), so they can execute on a
-process pool; set SEGDISC_THREADS to bound the pool (default 1, serial).
-Each pool worker receives the corpus once, when it starts; a job carries
-only its seed and settings.  `_map_jobs` returns results in job order,
-serial or pooled, and run r is job r, so run order needs no sort and the
-pool size never changes any output.  Every per-utterance loop is the one
-incremental pass, `_pass`.
+Every scored command runs one experiment, `_scored_run`: an incremental
+pass over a corpus order, after an optional supervised prefix, scored in
+blocks.  eval runs it once, permute-average once per run, phoneme-modes
+once per (order, mode) and train-sweep once per (run, count).  Run r of an
+averaged command permutes the corpus with seed base_seed + r, which only
+`_seeded_runs` assigns, so every command is deterministic given its base
+seed.  Runs are independent (each owns private count tables), so they can
+execute on a process pool; set SEGDISC_THREADS to bound the pool (default
+1, serial).  Each pool worker receives the corpus once, when it starts; a
+job carries only its seed and settings.  `_map_jobs` returns results in
+job order, serial or pooled, so the pool size never changes any output.
+Every per-utterance loop is the one incremental pass, `_pass`.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import statistics
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import repeat
 
 from .corpus import CorpusError, Utterance, load_corpus, permute, split_at
@@ -203,10 +207,16 @@ def _map_jobs(fn, corpus, jobs):
         return list(pool.map(_call_with_corpus, repeat(fn), jobs))
 
 
-def _seeded_runs(job, spec, corpus, *args):
-    """(r, job((corpus, base_seed + r, *args))) for each run r, in run order."""
-    jobs = [(spec.base_seed + r, *args) for r in range(spec.runs)]
-    return tuple(enumerate(_map_jobs(job, corpus, jobs)))
+def _seeded_runs(job, spec, corpus, *tails):
+    """(r, job((corpus, base_seed + r, *tail))) per run r, then per tail."""
+    runs = [r for r in range(spec.runs) for _ in tails]
+    jobs = [(spec.base_seed + r, *tail) for r in range(spec.runs) for tail in tails]
+    return tuple(zip(runs, _map_jobs(job, corpus, jobs)))
+
+
+def _train_count(fraction: float, n: int) -> int:
+    """Floor of `fraction` as written times n: 0.29 of 100 is 29, not 28."""
+    return math.floor(Fraction(repr(fraction)) * n)
 
 
 def _pass(tables, corpus, cfg, rng=None):
@@ -224,17 +234,20 @@ def _pass(tables, corpus, cfg, rng=None):
         yield seg, utterance.words
 
 
-def _learn_and_score(corpus, cfg, block_size, reference_lexicon, *, train=(),
-                     rng=None, lexicon_seen_only=False):
-    """Commit the reference words of `train`, then score one incremental
-    pass over `corpus` in blocks.  The trained words seed the learned
-    lexicon that lexicon precision audits."""
+def _scored_run(args):
+    """Permute the corpus by `seed` if `shuffle`, commit the reference words
+    of its first `n_train` utterances, then score one incremental pass (or
+    the random baseline, from random.Random(seed)) over the rest in blocks.
+    The trained words seed the learned lexicon that lexicon precision audits."""
+    corpus, seed, shuffle, cfg, n_train, block_size, baseline, seen_only = args
+    train, test = split_at(permute(corpus, seed) if shuffle else corpus, n_train)
     tables = CountTables()
     for utterance in train:
         train_utterance(tables, utterance.words, cfg)
-    return score_blocks(_pass(tables, corpus, cfg, rng), block_size, reference_lexicon,
-                        initial_lexicon=tables.unigrams,
-                        seen_reference_only=lexicon_seen_only)
+    rng = random.Random(seed) if baseline else None
+    return tuple(score_blocks(_pass(tables, test, cfg, rng), block_size, corpus.lexicon(),
+                              initial_lexicon=tables.unigrams,
+                              seen_reference_only=seen_only))
 
 
 def _block_stats(group) -> dict[str, float]:
@@ -248,29 +261,19 @@ def _block_stats(group) -> dict[str, float]:
 
 
 def _summarize_blocks(per_run) -> tuple[BlockSummary, ...]:
-    by_index: dict[int, list[BlockScores]] = {}
-    for _, blocks in per_run:
-        for block in blocks:
-            by_index.setdefault(block.block_index, []).append(block)
+    """Block i's stats over the runs; every run scores as many utterances,
+    so all runs have the same blocks."""
     return tuple(BlockSummary(index, len(group), **_block_stats(group))
-                 for index, group in sorted(by_index.items()))
-
-
-def _permute_job(args):
-    corpus, seed, cfg, block_size, baseline, no_permute, seen_only = args
-    ordered = corpus if no_permute else permute(corpus, seed)
-    rng = random.Random(seed) if baseline else None
-    return tuple(_learn_and_score(ordered, cfg, block_size, corpus.lexicon(),
-                                  rng=rng, lexicon_seen_only=seen_only))
+                 for index, group in enumerate(zip(*(blocks for _, blocks in per_run))))
 
 
 def run_permute_average(spec: ExperimentSpec) -> PermuteAverageResult:
     """Incremental runs over `runs` corpus permutations, scored in blocks."""
     corpus = load_corpus(spec.corpus_path)
-    cfg = spec.learner_config()
-    block_size = spec.block_size or _PERMUTE_BLOCK_SIZE
-    per_run = _seeded_runs(_permute_job, spec, corpus, cfg, block_size, spec.baseline,
-                           spec.no_permute, spec.lexicon_seen_only)
+    per_run = _seeded_runs(_scored_run, spec, corpus,
+                           (not spec.no_permute, spec.learner_config(), 0,
+                            spec.block_size or _PERMUTE_BLOCK_SIZE, spec.baseline,
+                            spec.lexicon_seen_only))
     return PermuteAverageResult(per_run, _summarize_blocks(per_run))
 
 
@@ -278,30 +281,15 @@ def run_eval(spec: ExperimentSpec) -> PermuteAverageResult:
     """Single pass in corpus order; optionally reserve an initial training
     fraction whose reference segmentations are committed before testing."""
     corpus = load_corpus(spec.corpus_path)
-    n_train = int(spec.train_fraction * len(corpus))
-    train, test = split_at(corpus, n_train)
-    if not test:
+    n_train = _train_count(spec.train_fraction, len(corpus))
+    if n_train == len(corpus):
         raise ValueError(f"no utterance left to test after training on {n_train} "
                          f"of {len(corpus)}; lower --train-frac")
-    rng = random.Random(spec.base_seed) if spec.baseline else None
-    blocks = _learn_and_score(test, spec.learner_config(), spec.block_size or _EVAL_BLOCK_SIZE,
-                              corpus.lexicon(), train=train, rng=rng,
-                              lexicon_seen_only=spec.lexicon_seen_only)
-    per_run = ((0, tuple(blocks)),)
+    blocks = _scored_run((corpus, spec.base_seed, False, spec.learner_config(), n_train,
+                          spec.block_size or _EVAL_BLOCK_SIZE, spec.baseline,
+                          spec.lexicon_seen_only))
+    per_run = ((0, blocks),)
     return PermuteAverageResult(per_run, _summarize_blocks(per_run))
-
-
-def _sweep_job(args):
-    corpus, seed, cfg, counts, seen_only = args
-    ordered = permute(corpus, seed)
-    reference_lexicon = corpus.lexicon()
-    results = []
-    for count in counts:
-        train, test = split_at(ordered, count)
-        blocks = _learn_and_score(test, cfg, None, reference_lexicon, train=train,
-                                  lexicon_seen_only=seen_only)
-        results.append(blocks[0])
-    return results
 
 
 def run_train_sweep(spec: ExperimentSpec) -> SweepResult:
@@ -309,19 +297,21 @@ def run_train_sweep(spec: ExperimentSpec) -> SweepResult:
 
     Each point trains on the first `count` utterances of a permutation and
     scores the remainder as one block; points are averaged over `runs`
-    permutations (seeds base_seed + r).
+    permutations, one job per (run, count).
     """
     corpus = load_corpus(spec.corpus_path)
     cfg = spec.learner_config()
     n = len(corpus)
-    cap = int(spec.sweep_cap * n)
-    counts = [c for c in range(0, cap + 1, spec.sweep_step) if c < n]
-    results = _seeded_runs(_sweep_job, spec, corpus, cfg, counts, spec.lexicon_seen_only)
+    counts = [c for c in range(0, _train_count(spec.sweep_cap, n) + 1, spec.sweep_step)
+              if c < n]
+    results = _seeded_runs(_scored_run, spec, corpus,
+                           *[(True, cfg, count, None, False, spec.lexicon_seen_only)
+                             for count in counts])
     per_run = tuple((run_id, count, block)
-                    for run_id, blocks in results for count, block in zip(counts, blocks))
+                    for (run_id, (block,)), count in zip(results, counts * spec.runs))
     points = []
-    for i, count in enumerate(counts):
-        group = [blocks[i] for _, blocks in results]
+    for count in counts:
+        group = [block for _, c, block in per_run if c == count]
         points.append(SweepPoint(count, count / n, len(group), **_block_stats(group)))
     return SweepResult(per_run, tuple(points), n)
 
@@ -417,29 +407,23 @@ def run_lexicon_growth(spec: ExperimentSpec) -> tuple[GrowthCurve, GrowthCurve]:
     the reference words, averaged over runs, with a k*sqrt(N) fit each."""
     corpus = load_corpus(spec.corpus_path)
     cfg = spec.learner_config()
-    results = _seeded_runs(_growth_job, spec, corpus, cfg, spec.no_permute)
+    results = _seeded_runs(_growth_job, spec, corpus, (cfg, spec.no_permute))
     model = _average_curves([model_points for _, (model_points, _) in results])
     actual = _average_curves([actual_points for _, (_, actual_points) in results])
     return (GrowthCurve(f"{spec.order}-gram", model, fit_sqrt_coefficient(model)),
             GrowthCurve("actual", actual, fit_sqrt_coefficient(actual)))
 
 
-def _matrix_job(args):
-    corpus, order, mode, require_vowel, seen_only = args
-    cfg = LearnerConfig(order, mode, require_vowel)
-    block = _learn_and_score(corpus, cfg, None, corpus.lexicon(),
-                             lexicon_seen_only=seen_only)[0]
-    return MatrixCell(order, mode.value, block.precision, block.recall,
-                      block.lexicon_precision)
-
-
 def run_phoneme_mode_matrix(spec: ExperimentSpec) -> tuple[MatrixCell, ...]:
     """Whole-corpus scores for orders 1-3 crossed with the phoneme modes."""
     corpus = load_corpus(spec.corpus_path)
-    jobs = [(order, mode, spec.require_vowel, spec.lexicon_seen_only)
-            for order in (1, 2, 3)
-            for mode in (PhonemeMode.UNIFORM, PhonemeMode.LEXICON, PhonemeMode.SPEECH)]
-    return tuple(_map_jobs(_matrix_job, corpus, jobs))
+    configs = [LearnerConfig(order, mode, spec.require_vowel)
+               for order in (1, 2, 3) for mode in PhonemeMode]
+    results = _map_jobs(_scored_run, corpus, [(0, False, cfg, 0, None, False,
+                                               spec.lexicon_seen_only) for cfg in configs])
+    return tuple(MatrixCell(cfg.order, cfg.phoneme_mode.value, block.precision,
+                            block.recall, block.lexicon_precision)
+                 for cfg, (block,) in zip(configs, results))
 
 
 def run_segment(spec: ExperimentSpec) -> tuple[Segmentation, ...]:
@@ -647,14 +631,10 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _spec_from_args(args) -> ExperimentSpec:
-    return ExperimentSpec(**{name: value for name, value in vars(args).items()
-                             if value is not None})
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    spec = _spec_from_args(args)
+    spec = ExperimentSpec(**{name: value for name, value in vars(args).items()
+                             if value is not None})
     try:
         spec.validate()
         return _run_command(spec)

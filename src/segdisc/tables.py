@@ -1,11 +1,11 @@
 """Lexicon, n-gram and phoneme frequency tables.
 
-The unigram table doubles as the lexicon.  Aggregate counts (distinct keys
-and count sums per order) are maintained incrementally so they are free to
-read.  Phoneme counts start from one pseudo-count on every symbol
-including the end-of-word sentinel, which keeps every relative frequency
-positive from the first utterance on; the uniform mode simply leaves them
-there.
+The unigram table doubles as the lexicon.  The count sum per order is
+maintained incrementally, and the distinct keys per order are the length of
+its table, so both are free to read.  Phoneme counts start from one
+pseudo-count on every symbol including the end-of-word sentinel, which
+keeps every relative frequency positive from the first utterance on; the
+uniform mode simply leaves them there.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ class PhonemeMode(str, Enum):
 
 
 class CountTables:
-    """Unigram/bigram/trigram/phoneme counts with cached aggregates.
+    """Unigram/bigram/trigram/phoneme counts with cached count sums.
 
     An instance is owned by a single learning run; nothing here is safe
     for concurrent mutation.  `prefixes` holds every non-empty prefix of
@@ -44,8 +44,7 @@ class CountTables:
     """
 
     __slots__ = ("inventory", "unigrams", "bigrams", "trigrams", "phonemes",
-                 "phoneme_total", "n1", "n2", "n3", "s1", "s2", "s3",
-                 "prefixes", "score_cache")
+                 "phoneme_total", "s1", "s2", "s3", "prefixes", "score_cache")
 
     def __init__(self):
         self.inventory = inventory = default_inventory()
@@ -55,10 +54,13 @@ class CountTables:
         self.phonemes: dict[str, int] = {ch: 1 for ch in inventory.symbols}
         self.phonemes[SENTINEL] = 1
         self.phoneme_total = len(self.phonemes)
-        self.n1 = self.n2 = self.n3 = 0
         self.s1 = self.s2 = self.s3 = 0
         self.prefixes: set[str] = set()
         self.score_cache = None
+
+    # distinct bigrams and trigrams, read by perfbench's tables.*_types metrics
+    n2 = property(lambda self: len(self.bigrams))
+    n3 = property(lambda self: len(self.trigrams))
 
     def commit(self, words, mode: PhonemeMode = PhonemeMode.LEXICON) -> None:
         """Learn one utterance's words.
@@ -86,7 +88,6 @@ class CountTables:
         for w in words:
             count = unigrams.get(w, 0)
             if count == 0:
-                self.n1 += 1
                 novel.append(w)
                 self.prefixes.update(w[:k] for k in range(1, len(w) + 1))
             unigrams[w] = count + 1
@@ -94,18 +95,12 @@ class CountTables:
         if len(words) >= 2:
             bigrams = self.bigrams
             for pair in zip(words, words[1:]):
-                count = bigrams.get(pair, 0)
-                if count == 0:
-                    self.n2 += 1
-                bigrams[pair] = count + 1
+                bigrams[pair] = bigrams.get(pair, 0) + 1
             self.s2 += len(words) - 1
         if len(words) >= 3:
             trigrams = self.trigrams
             for triple in zip(words, words[1:], words[2:]):
-                count = trigrams.get(triple, 0)
-                if count == 0:
-                    self.n3 += 1
-                trigrams[triple] = count + 1
+                trigrams[triple] = trigrams.get(triple, 0) + 1
             self.s3 += len(words) - 2
         if mode is PhonemeMode.LEXICON:
             for w in novel:

@@ -100,7 +100,7 @@ def test_criterion_3_estimator_identities():
             tables.commit(rng.choices(pool, k=rng.randint(1, 4)),
                           rng.choice(list(PhonemeMode)))
         familiar = sum(p_unigram(tables, w, exact=True) for w in tables.unigrams)
-        escape = F(tables.n1, tables.n1 + tables.s1)
+        escape = F(len(tables.unigrams), len(tables.unigrams) + tables.s1)
         assert familiar + escape == 1  # exact, in rationals
 
     tables = CountTables()

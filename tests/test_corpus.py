@@ -16,10 +16,6 @@ def test_raw_is_concatenation(sample_corpus):
         assert utterance.raw == "".join(utterance.words)
 
 
-def test_char_count_matches_file_bytes(sample_corpus, sample_path):
-    assert sample_corpus.char_count == sample_path.stat().st_size
-
-
 def test_single_line_corpus(tmp_path):
     path = tmp_path / "one.txt"
     path.write_text("tu\n")
@@ -112,13 +108,6 @@ def test_split_at_counts(sample_corpus):
         assert train.utterances + test.utterances == sample_corpus.utterances
     with pytest.raises(ValueError):
         split_at(sample_corpus, len(sample_corpus) + 1)
-
-
-def test_word_and_char_counts(sample_corpus):
-    words = sum(len(u.words) for u in sample_corpus)
-    phonemes = sum(len(u.raw) for u in sample_corpus)
-    assert sample_corpus.word_count == words
-    assert sample_corpus.char_count == phonemes + words  # spaces-1 + newline per line
 
 
 def test_lexicon_is_distinct_words(sample_corpus):

@@ -101,7 +101,7 @@ def test_unigram_escape_identity_exact():
         for _ in range(rng.randint(1, 30)):
             t.commit(rng.choices(pool, k=rng.randint(1, 4)))
         familiar_mass = sum(p_unigram(t, w, exact=True) for w in t.unigrams)
-        escape_mass = F(t.n1, t.n1 + t.s1)
+        escape_mass = F(len(t.unigrams), len(t.unigrams) + t.s1)
         assert familiar_mass + escape_mass == 1
 
 
@@ -266,7 +266,7 @@ def test_word_score_long_novel_word_does_not_underflow():
 
 def spelled_alone(tables, word):
     """-ln p_unigram of `word` from its own counts, one phoneme at a time."""
-    denom = tables.n1 + tables.s1
+    denom = len(tables.unigrams) + tables.s1
     count = tables.unigrams.get(word, 0)
     if count > 0:
         return -math.log(count / denom)
@@ -277,7 +277,7 @@ def spelled_alone(tables, word):
     for ch in word:
         value -= math.log(counts[ch] / total)
     if denom > 0:
-        value -= math.log(tables.n1 / denom)
+        value -= math.log(len(tables.unigrams) / denom)
     return value
 
 

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import segdisc
-from segdisc import Corpus
+from segdisc import Corpus, load_corpus, permute, save_corpus
 from segdisc.harness import (CSV_FIELDS, ExperimentSpec, fit_sqrt_coefficient,
                              main, run_damn_british, run_eval,
                              run_fully_trained, run_lexicon_growth,
@@ -128,6 +128,23 @@ def test_eval_train_fraction_reserves_prefix(sample_path):
     assert blocks[0].utterances == 10  # only the test half is scored
 
 
+@pytest.fixture
+def hundred_path(sample_path, tmp_path):
+    """A 100-utterance corpus: the 20-utterance fixture five times."""
+    path = tmp_path / "hundred.txt"
+    path.write_text(sample_path.read_text() * 5)
+    return path
+
+
+@pytest.mark.parametrize("fraction, trained", [(0.29, 29), (0.57, 57), (0.58, 58)])
+def test_train_fraction_counts_the_fraction_as_written(hundred_path, fraction, trained):
+    # in floats 0.29 * 100 < 29, yet --train-frac 0.29 of 100 trains on 29
+    result = run_eval(spec_for("eval", hundred_path, train_fraction=fraction,
+                               block_size=500))
+    (_, blocks), = result.per_run
+    assert [block.utterances for block in blocks] == [100 - trained]
+
+
 def test_permute_average_identical_given_same_seeds(sample_path):
     spec = spec_for("permute-average", sample_path, runs=2, base_seed=3, block_size=10)
     assert run_permute_average(spec) == run_permute_average(spec)
@@ -182,6 +199,30 @@ def test_train_sweep_rows_per_fraction(sample_path):
     assert counts == [0, 5, 10]
     assert all(point.runs == 2 for point in result.points)
     assert len(result.per_run) == 6  # 2 runs x 3 fractions
+
+
+def test_train_sweep_cap_counts_the_fraction_as_written(hundred_path):
+    result = run_train_sweep(spec_for("train-sweep", hundred_path, runs=1, sweep_step=29,
+                                      sweep_cap=0.29))
+    assert [point.train_utterances for point in result.points] == [0, 29]
+
+
+@pytest.mark.parametrize("seen_only", [False, True])
+def test_train_sweep_point_is_eval_of_its_permutation(sample_path, tmp_path, seen_only):
+    # run r, count c: eval of permutation base_seed + r, trained on its first
+    # c utterances, the rest scored as one block
+    corpus = load_corpus(sample_path)
+    n = len(corpus)
+    result = run_train_sweep(spec_for("train-sweep", sample_path, runs=2, base_seed=3,
+                                      sweep_step=5, lexicon_seen_only=seen_only))
+    assert [(r, c) for r, c, _ in result.per_run] == [
+        (r, c) for r in (0, 1) for c in (0, 5, 10, 15)]
+    for run_id, count, block in result.per_run:
+        path = tmp_path / f"run{run_id}.txt"
+        save_corpus(permute(corpus, 3 + run_id), path)
+        single = run_eval(spec_for("eval", path, train_fraction=count / n, block_size=n,
+                                   lexicon_seen_only=seen_only))
+        assert single.per_run == ((0, (block,)),)
 
 
 def test_train_sweep_zero_fraction_equals_unsupervised(sample_path):
@@ -239,6 +280,16 @@ def test_phoneme_mode_matrix_shape(sample_path):
         assert 0.0 <= cell.precision <= 100.0
         assert 0.0 <= cell.recall <= 100.0
         assert 0.0 <= cell.lexicon_precision <= 100.0
+
+
+def test_phoneme_mode_cell_is_eval_at_its_order_and_mode(sample_path):
+    for cell in run_phoneme_mode_matrix(spec_for("phoneme-modes", sample_path,
+                                                 lexicon_seen_only=True)):
+        (_, (block,)), = run_eval(spec_for(
+            "eval", sample_path, order=cell.order, phoneme_mode=cell.phoneme_mode,
+            block_size=10 ** 9, lexicon_seen_only=True)).per_run
+        assert (cell.precision, cell.recall, cell.lexicon_precision) == (
+            block.precision, block.recall, block.lexicon_precision)
 
 
 # --- command line ------------------------------------------------------------

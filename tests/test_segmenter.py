@@ -177,7 +177,8 @@ def test_segment_does_not_touch_tables():
     t.commit(["ab"])
 
     def counts():
-        return (dict(t.unigrams), dict(t.phonemes), t.n1, t.n2, t.n3, t.s1, t.s2, t.s3)
+        return (dict(t.unigrams), dict(t.bigrams), dict(t.trigrams), dict(t.phonemes),
+                t.s1, t.s2, t.s3)
 
     before = counts()
     segment(t, "abab", LearnerConfig(order=3))
@@ -311,7 +312,7 @@ def test_fixture_learn_loop_populates_lexicon(sample_corpus):
     t = CountTables()
     for utterance in sample_corpus:
         process_utterance(t, utterance.raw, cfg)
-    assert t.n1 >= 1
+    assert len(t.unigrams) >= 1
     assert t.s1 >= len(sample_corpus)  # at least one word inferred per utterance
 
 

@@ -10,7 +10,7 @@ EVENT_SPACE = 51  # 50 phonemes plus the sentinel
 
 def aggregates(t):
     """(N1, N2, N3, S1, S2, S3): distinct keys and count sums per order."""
-    return (t.n1, t.n2, t.n3, t.s1, t.s2, t.s3)
+    return (len(t.unigrams), len(t.bigrams), len(t.trigrams), t.s1, t.s2, t.s3)
 
 
 def test_uniform_initialization():
@@ -26,19 +26,16 @@ def test_uniform_initialization():
 def test_commit_counts_two_words():
     t = CountTables()
     t.commit(["D&m", "brItIS"])
-    assert t.n1 == 2 and t.s1 == 2
+    assert aggregates(t) == (2, 1, 0, 2, 1, 0)
     assert t.bigrams == {("D&m", "brItIS"): 1}
-    assert t.n2 == 1 and t.s2 == 1
-    assert t.trigrams == {} and t.n3 == 0 and t.s3 == 0
+    assert t.trigrams == {}
 
 
 def test_commit_counts_triples():
     t = CountTables()
     t.commit(["a", "b", "i", "u"])
-    assert t.n1 == 4 and t.s1 == 4
-    assert t.n2 == 3 and t.s2 == 3
+    assert aggregates(t) == (4, 3, 2, 4, 3, 2)
     assert t.trigrams == {("a", "b", "i"): 1, ("b", "i", "u"): 1}
-    assert t.n3 == 2 and t.s3 == 2
 
 
 def test_ngrams_do_not_span_utterances():
@@ -81,7 +78,7 @@ def test_repeated_word_within_utterance_lexicon_mode():
     t.commit(["tu", "tu"], PhonemeMode.LEXICON)
     # second token is already familiar by the time it is seen
     assert t.phonemes["t"] == 2
-    assert t.n1 == 1 and t.s1 == 2
+    assert len(t.unigrams) == 1 and t.s1 == 2
 
 
 def test_damn_british_state_stats():
@@ -170,8 +167,8 @@ def test_reference_corpus_commit_totals(sample_corpus):
     t = CountTables()
     for utterance in sample_corpus:
         t.commit(utterance.words)
-    assert t.s1 == sample_corpus.word_count
-    assert t.n1 == len(sample_corpus.lexicon())
+    assert t.s1 == sum(len(u.words) for u in sample_corpus)
+    assert len(t.unigrams) == len(sample_corpus.lexicon())
     assert t.s2 == sum(max(len(u.words) - 1, 0) for u in sample_corpus)
 
 
@@ -188,8 +185,7 @@ def test_lexicon_mode_phoneme_total_identity():
 
 
 def _recount(t):
-    return (len(t.unigrams), len(t.bigrams), len(t.trigrams),
-            sum(t.unigrams.values()), sum(t.bigrams.values()), sum(t.trigrams.values()))
+    return sum(t.unigrams.values()), sum(t.bigrams.values()), sum(t.trigrams.values())
 
 
 def test_cached_aggregates_match_recount():
@@ -201,7 +197,7 @@ def test_cached_aggregates_match_recount():
         t.commit(words, rng.choice(list(PhonemeMode)))
         assert t.phoneme_total == sum(t.phonemes.values())
     n1, n2, n3, s1, s2, s3 = aggregates(t)
-    assert (n1, n2, n3, s1, s2, s3) == _recount(t)
+    assert (s1, s2, s3) == _recount(t)
     assert s1 >= n1 and s2 >= n2 and s3 >= n3
 
 
