@@ -7,27 +7,25 @@ times the estimate one order down.  The chain ends in a phoneme spelling
 model that gives positive probability to every possible word, so every
 query is answerable.
 
-The probability functions p_* return plain floats by default; passing
-exact=True switches the arithmetic to fractions.Fraction for identity
-checks.  Each picks its division once per call, so both kinds of number
-go through the same operations in the same order.  Scoring works in
+The probability functions p_* return exact fractions.Fraction values, the
+reference for identity checks at any word length.  Scoring works in
 negative natural log units through one chain per table state, `_log_chain`,
-built on first use after a commit and kept in `tables.score_cache`; both
-`word_score` and the boundary search's `UtteranceScorer` read it.  It
-accumulates per phoneme, so long novel words cannot underflow.
+the model's only float arithmetic, built on first use after a commit and
+kept in `tables.score_cache`; both `word_score` and the boundary search's
+`UtteranceScorer` read it.  It accumulates per phoneme, so long novel
+words cannot underflow.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 
 from .phoneme import SENTINEL
 from .tables import CountTables
 
 
-def p_sigma(tables: CountTables, word: str, exact: bool = False):
+def p_sigma(tables: CountTables, word: str) -> Fraction:
     """Spelling model: f(sentinel) * prod_j f(word[j]) / (1 - f(sentinel)).
 
     The sentinel factor closes each word and the division by the mass left
@@ -35,57 +33,52 @@ def p_sigma(tables: CountTables, word: str, exact: bool = False):
     non-empty phoneme strings, so the total over every possible word is
     exactly one.
     """
-    ratio = Fraction if exact else operator.truediv
     counts = tables.phonemes
     total = tables.phoneme_total
     sentinel = counts[SENTINEL]
-    p = ratio(sentinel, total - sentinel)
+    p = Fraction(sentinel, total - sentinel)
     for ch in word:
-        p *= ratio(counts[ch], total)
+        p *= Fraction(counts[ch], total)
     return p
 
 
-def p_unigram(tables: CountTables, word: str, exact: bool = False):
+def p_unigram(tables: CountTables, word: str) -> Fraction:
     """C(w)/(N1+S1) for a familiar word, else the escape mass times p_sigma.
 
     With nothing observed yet (N1 = S1 = 0) there is no escape discount
     and the spelling model is used directly.
     """
-    ratio = Fraction if exact else operator.truediv
     count = tables.unigrams.get(word, 0)
     denom = len(tables.unigrams) + tables.s1
     if count > 0:
-        return ratio(count, denom)
-    base = p_sigma(tables, word, exact)
-    return base if denom == 0 else ratio(len(tables.unigrams), denom) * base
+        return Fraction(count, denom)
+    base = p_sigma(tables, word)
+    return base if denom == 0 else Fraction(len(tables.unigrams), denom) * base
 
 
-def p_bigram(tables: CountTables, prev: str, word: str, exact: bool = False):
+def p_bigram(tables: CountTables, prev: str, word: str) -> Fraction:
     """(S2/(N2+S2)) * C(prev,w)/C(prev) for a seen pair, else back off.
 
     The familiar branch is the pair's relative frequency given the
     conditioning word's unigram count, scaled by the non-escape mass; an
     unseen pair falls back to N2/(N2+S2) times the unigram estimate.
     """
-    ratio = Fraction if exact else operator.truediv
     count = tables.bigrams.get((prev, word), 0)
     denom = len(tables.bigrams) + tables.s2
     if count > 0:
-        return ratio(tables.s2, denom) * ratio(count, tables.unigrams[prev])
-    base = p_unigram(tables, word, exact)
-    return base if denom == 0 else ratio(len(tables.bigrams), denom) * base
+        return Fraction(tables.s2, denom) * Fraction(count, tables.unigrams[prev])
+    base = p_unigram(tables, word)
+    return base if denom == 0 else Fraction(len(tables.bigrams), denom) * base
 
 
-def p_trigram(tables: CountTables, prev2: str, prev1: str, word: str,
-              exact: bool = False):
+def p_trigram(tables: CountTables, prev2: str, prev1: str, word: str) -> Fraction:
     """(S3/(N3+S3)) * C(prev2,prev1,w)/C(prev2,prev1) if seen, else back off."""
-    ratio = Fraction if exact else operator.truediv
     count = tables.trigrams.get((prev2, prev1, word), 0)
     denom = len(tables.trigrams) + tables.s3
     if count > 0:
-        return ratio(tables.s3, denom) * ratio(count, tables.bigrams[(prev2, prev1)])
-    base = p_bigram(tables, prev1, word, exact)
-    return base if denom == 0 else ratio(len(tables.trigrams), denom) * base
+        return Fraction(tables.s3, denom) * Fraction(count, tables.bigrams[(prev2, prev1)])
+    base = p_bigram(tables, prev1, word)
+    return base if denom == 0 else Fraction(len(tables.trigrams), denom) * base
 
 
 def _log_chain(tables: CountTables):

@@ -216,7 +216,7 @@ def _seeded_runs(job, spec, corpus, *tails):
 
 def _train_count(fraction: float, n: int) -> int:
     """Floor of `fraction` as written times n: 0.29 of 100 is 29, not 28."""
-    return math.floor(Fraction(repr(fraction)) * n)
+    return math.floor(Fraction(str(fraction)) * n)
 
 
 def _pass(tables, corpus, cfg, rng=None):

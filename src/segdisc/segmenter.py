@@ -70,15 +70,14 @@ _INF = math.inf
 
 @dataclass(frozen=True)
 class Segmentation:
-    """A phoneme stream with word boundaries.
+    """A phoneme stream read as words.
 
-    `boundaries` holds the internal split positions, strictly increasing
-    and exclusive of 0 and len(phonemes); `words` is the induced tuple and
-    always concatenates back to `phonemes`.
+    `words` is a tuple of non-empty strings that concatenates back to
+    `phonemes`: from_words and from_boundaries check it, and the search
+    builds it so.
     """
 
     phonemes: str
-    boundaries: tuple[int, ...]
     words: tuple[str, ...]
 
     @classmethod
@@ -86,8 +85,7 @@ class Segmentation:
         words = tuple(words)
         if not words or any(not w for w in words):
             raise ValueError("segmentation words must be non-empty")
-        bounds = tuple(accumulate(len(w) for w in words[:-1]))
-        return cls("".join(words), bounds, words)
+        return cls("".join(words), words)
 
     @classmethod
     def from_boundaries(cls, phonemes: str, boundaries) -> "Segmentation":
@@ -101,7 +99,7 @@ class Segmentation:
             previous = b
         edges = (0,) + boundaries + (len(phonemes),)
         words = tuple(phonemes[a:b] for a, b in zip(edges, edges[1:]))
-        return cls(phonemes, boundaries, words)
+        return cls(phonemes, words)
 
 
 @dataclass(frozen=True)
@@ -147,7 +145,7 @@ def segment(tables: CountTables, u: str, cfg: LearnerConfig) -> tuple[Segmentati
         words, score = _search_bigram(scorer, u, limit)
     else:
         words, score = _search_trigram(scorer, u, limit, tables.bigrams)
-    return Segmentation.from_words(words), score
+    return Segmentation(u, tuple(words)), score
 
 
 def _search_unigram(scorer, u, limit):

@@ -224,7 +224,7 @@ def test_baseline_exact_count_always():
         u = "".join(rng.choices("ab", k=rng.randint(1, 12)))
         want = rng.randint(0, len(u) - 1)
         out = random_baseline(u, want, rng)
-        assert len(out.boundaries) == want
+        assert len(out.words) == want + 1
         assert out.phonemes == u
 
 
@@ -247,7 +247,7 @@ def test_baseline_positions_uniform_chi_square():
     draws = 10_000
     counts = {1: 0, 2: 0, 3: 0}
     for _ in range(draws):
-        counts[random_baseline("abcd", 1, rng).boundaries[0]] += 1
+        counts[len(random_baseline("abcd", 1, rng).words[0])] += 1
     expected = draws / 3
     chi2 = sum((n - expected) ** 2 / expected for n in counts.values())
     assert chi2 < 9.210, counts

@@ -6,6 +6,8 @@ import random
 import statistics
 import subprocess
 import sys
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -46,7 +48,6 @@ def test_damn_british_same_for_every_order():
 def test_damn_british_threshold_in_exact_arithmetic():
     # the split wins when P(D&m) * P(brItIS) = 2x/(x+6)^2 beats
     # P(D&mbrItIS) = 1/(x+6), which holds exactly when x > 6
-    from fractions import Fraction
     from segdisc import CountTables, p_unigram
 
     for x in range(1, 11):
@@ -56,8 +57,8 @@ def test_damn_british_threshold_in_exact_arithmetic():
         tables.commit(["D&m"])
         for _ in range(x):
             tables.commit(["brItIS"])
-        whole = p_unigram(tables, "D&mbrItIS", exact=True)
-        parts = p_unigram(tables, "D&m", exact=True) * p_unigram(tables, "brItIS", exact=True)
+        whole = p_unigram(tables, "D&mbrItIS")
+        parts = p_unigram(tables, "D&m") * p_unigram(tables, "brItIS")
         assert whole == Fraction(1, x + 6)
         assert parts == Fraction(2 * x, (x + 6) ** 2)
         assert (parts > whole) == (x > 6)
@@ -136,9 +137,11 @@ def hundred_path(sample_path, tmp_path):
     return path
 
 
-@pytest.mark.parametrize("fraction, trained", [(0.29, 29), (0.57, 57), (0.58, 58)])
+@pytest.mark.parametrize("fraction, trained", [(0.29, 29), (0.57, 57), (0.58, 58),
+                                               (Fraction(29, 100), 29), (Decimal("0.29"), 29)])
 def test_train_fraction_counts_the_fraction_as_written(hundred_path, fraction, trained):
-    # in floats 0.29 * 100 < 29, yet --train-frac 0.29 of 100 trains on 29
+    # in floats 0.29 * 100 < 29, yet --train-frac 0.29 of 100 trains on 29;
+    # the spec takes any real in [0, 1], and its str, not its repr, is read
     result = run_eval(spec_for("eval", hundred_path, train_fraction=fraction,
                                block_size=500))
     (_, blocks), = result.per_run

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -47,13 +48,26 @@ def random_tables(rng):
 def test_segmentation_from_words():
     seg = Segmentation.from_words(["D&m", "brItIS"])
     assert seg.phonemes == "D&mbrItIS"
-    assert seg.boundaries == (3,)
+    assert [len(w) for w in seg.words] == [3, 6]
     assert seg.words == ("D&m", "brItIS")
 
 
 def test_segmentation_from_boundaries():
     seg = Segmentation.from_boundaries("abcd", (1, 3))
     assert seg.words == ("a", "bc", "d")
+
+
+def test_segment_reads_the_utterance_as_words():
+    # a Segmentation is the utterance and its words; the search hands back
+    # the very string it was given
+    assert [f.name for f in dataclasses.fields(Segmentation)] == ["phonemes", "words"]
+    t = CountTables()
+    t.commit(["D&m", "brItIS", "kIti"])
+    u = "".join(["kIti", "D&m", "brItIS", "D&m"])
+    for order in (1, 2, 3):
+        seg, _ = segment(t, u, LearnerConfig(order))
+        assert seg.phonemes is u
+        assert seg.words == ("kIti", "D&m", "brItIS", "D&m")
 
 
 def test_segmentation_rejects_bad_input():
