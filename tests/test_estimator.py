@@ -65,6 +65,12 @@ def test_sigma_partial_sums_geometric():
             assert total == 1 - (1 - f_sent) ** length
 
 
+def test_sigma_exact_sums_to_one_at_length_one():
+    t = CountTables()
+    mass = sum(p_sigma(t, ch) for ch in t.inventory.symbols)
+    assert mass == 1 - (1 - F(1, EVENTS)) ** 1
+
+
 def test_sigma_reflects_learned_phonemes():
     t = CountTables()
     t.commit(["tu"])
