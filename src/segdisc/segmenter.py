@@ -39,21 +39,21 @@ for lexicon cells and on the winning path.
 Ties are resolved exactly as a strict `score < best` update does when the
 unsplit candidate is examined first and split points are visited left to
 right: at equal score the candidate keeping the whole remaining span as
-one word survives.  The order-2 and order-3 searches store no back-pointers.
-Once the best score is known, they rescan only the cells of the winning
-path and take, for each, the first start of the word before that reaches
-the cell's score: the one a strict `<` scan keeps.  That holds for rounding
-near-ties as well, where two different prefixes plus the same word score
-round to the same float.  The rescan tests on its own each start of a
-lexicon word ending where the cell's word starts, with its own bi or tri
-term, and at order 3 the first word read alone.  Every other start adds
-one shared term to a reading whose best value the forward pass stored,
-novel[j], and by the monotone rounding above none of them reaches the
-score unless novel[j] plus that term does.  Only then are they scanned, in
-increasing order up to the first lexicon start that reached it.  A word
-on the winning path so costs O(1 + h) for the h lexicon words ending where
-it starts, and O(n) at worst, when the word before it is outside the
-lexicon or ties with one that is.
+one word survives.  The order-2 and order-3 searches store no back-pointers:
+`_walk_back` takes the first last word that reaches the best score, and at
+each word of the winning path the first start of the word before that
+reaches the cell's score, rounding near-ties included.  It tests each
+lexicon start on its own, with its own bi or tri term.  Every other start
+adds one shared term to a reading whose best value the forward pass
+stored, so by the monotone rounding above they are scanned, from the left
+up to the first lexicon start that reached the score, only when that best
+value plus the term reaches it.  At order 3 the first word read alone is
+one of them when it is outside the lexicon (a lexicon one may form a seen
+bigram, with its own term); as fl(min(a, b) + c) = min(fl(a + c),
+fl(b + c)), one bound covers it and novel[j].  A word on the path so costs
+O(1 + h) for the h lexicon words ending where it starts, and O(n) at
+worst, when the word before it is outside the lexicon or ties with one
+that is.
 """
 
 from __future__ import annotations
@@ -210,34 +210,15 @@ def _search_bigram(scorer, u, limit):
                 top = score
         novel[i] = shared
         ending[i] = top
-    last_words = [state[j][n] for j in range(n)]
-    score = min(last_words)
-    j = last_words.index(score)
-    out = []
-    i = n
-    while j > 0:
-        word = u[j:i]
-        out.append(word)
-        # the dense scan's choice: the first k that reaches the cell's score,
-        # each lexicon start tested alone, the others only if novel[j] + base
-        # reaches it (see the module docstring)
-        target = state[j][i]
-        before = starts[j]
-        base = costs[i][j] - escape2
-        k = j
-        for t, prev in before.items():
-            if state[t][j] + bi(prev, word) == target:
-                k = t
-                break
-        if novel[j] + base == target:
-            t = 0
-            while t < k and (t in before or state[t][j] + base != target):
-                t += 1
-            k = t
-        i, j = j, k
-    out.append(u[:i])
-    out.reverse()
-    return out, score
+
+    walk = state, novel, costs, bi, escape2
+
+    def step(j, i, word, v):
+        state, novel, costs, bi, escape2 = walk
+        base = costs[i][j] - escape2  # bi("", word)
+        return (lambda t: state[t][j]), (lambda prev: bi(prev, word)), base, novel[j] + base
+
+    return _walk_back(u, [state[j][n] for j in range(n)], starts, step)
 
 
 def _search_trigram(scorer, u, limit, bigram_counts):
@@ -314,52 +295,59 @@ def _search_trigram(scorer, u, limit, bigram_counts):
         novel[i] = shared
         ending[i] = overall
 
-    # the unsplit reading is examined first, then pairs (j, n) in
-    # increasing j; the first to reach the best score wins
-    last = [firsts[n]] + [best[j][n] for j in range(1, n)]
-    score = min(last)
-    j = last.index(score)
-    if not j:
-        return [u], score
-    # Each step takes a pair (j, i) of the winning path, reached at score
-    # `target` with next word v, and finds the first k whose reading u[k:j],
-    # u[j:i] plus tri(u[k:j], u[j:i], v) reaches the target; at the last
-    # pair there is no v and the term is 0.0.  k = 0 and each lexicon start
-    # are tested alone, the other k only if novel[j] can reach the target
-    out = [u[j:]]
-    target = score
-    i = n
-    v = None
-    while j:
-        word = u[j:i]
-        before = starts[j]
+    walk = costs, tri, starts, escape2, escape3, bigram_counts, firsts, best, split, novel
+
+    def step(j, i, word, v):
+        costs, tri, starts, escape2, escape3, bigram_counts, firsts, best, split, novel = walk
         pair = split[j][i]
         base = costs[i][j] - escape2
         added = base - escape3
-        seen = (word, v) in bigram_counts
-        other = tri("", word, v) if v else 0.0
         opening = firsts[j] + base
-        if 0 not in before and opening + other == target:
-            k = 0
-            found = opening
-        else:
-            k = j
-            for t, prev in before.items():
-                value = pair[t] if t in pair else (best[t][j] + added if t else opening)
-                if value + (tri(prev, word, v) if seen else other) == target:
-                    k = t
-                    found = value
-                    break
-            if novel[j] + added + other == target:
-                t = 1
-                while t < k and (t in before or best[t][j] + added + other != target):
-                    t += 1
-                if t < k:
-                    k = t
-                    found = best[t][j] + added
-        out.append(u[k:j])
-        target = found
-        j, i, v = k, j, word
+        other = tri("", word, v) if v else 0.0  # v's term after an unseen bigram
+        others = novel[j] + added
+        if 0 not in starts[j] and opening < others:
+            others = opening
+        seen = (word, v) in bigram_counts
+        return ((lambda t: pair[t] if t in pair else (best[t][j] + added if t else opening)),
+                (lambda prev: tri(prev, word, v) if seen else other), other, others + other)
+
+    return _walk_back(u, [firsts[n]] + [best[j][n] for j in range(1, n)], starts, step)
+
+
+def _walk_back(u, last, starts, step):
+    """The winning path's words and score, ties broken by the rule above.
+
+    last[j] scores the best reading whose last word is u[j:], j = 0 the
+    whole utterance.  step(j, i, word, v) gives, for the cell u[j:i] with
+    next word v (None at the end), (value, term, shared, bound): a lexicon
+    start t with word prev reaches value(t) + term(prev), any other start
+    value(t) + shared, bound is the least of those, and the walk moves on
+    to value(k) for the chosen k.  A step reads the search's tables from one
+    tuple, `walk`: closing over them makes them slower cell variables.
+    """
+    score = target = min(last)
+    j = last.index(score)
+    i = len(u)
+    v = None
+    out = []
+    while j:
+        word = u[j:i]
+        value, term, shared, bound = step(j, i, word, v)
+        before = starts[j]
+        k = j
+        for t, prev in before.items():
+            if value(t) + term(prev) == target:
+                k = t
+                break
+        if bound == target:
+            t = 0
+            while t < k and (t in before or value(t) + shared != target):
+                t += 1
+            k = t
+        out.append(word)
+        target = value(k)
+        i, j, v = j, k, word
+    out.append(u[:i])
     out.reverse()
     return out, score
 

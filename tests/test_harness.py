@@ -28,15 +28,6 @@ def spec_for(command, sample_path=None, **kwargs):
 
 # --- scenario ----------------------------------------------------------------
 
-def test_damn_british_first_split_at_seven():
-    report = run_damn_british(spec_for("scenario-damn-british"))
-    assert report.first_split == 7
-    assert report.whole_neglog == pytest.approx(2.56495, abs=1e-4)
-    assert report.parts_neglog == pytest.approx(2.49084, abs=1e-4)
-    for outcome in report.outcomes:
-        assert outcome.split == (outcome.isolated_count >= 7)
-
-
 def test_damn_british_same_for_every_order():
     # single-word presentations never populate the bigram or trigram
     # tables, so the higher orders back off to the same unigram decision

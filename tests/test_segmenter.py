@@ -1,12 +1,17 @@
+import contextlib
 import dataclasses
+import io
 import math
 import random
+from pathlib import Path
 
 import pytest
 
 from segdisc import (SENTINEL, CountTables, LearnerConfig, PhonemeMode, Segmentation,
-                     UnknownPhoneme, is_vowel_bearing, process_utterance, segment,
-                     train_utterance, word_score)
+                     UnknownPhoneme, default_inventory, is_vowel_bearing, load_corpus,
+                     process_utterance, segment, train_utterance, word_score)
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def all_segmentations(u):
@@ -330,6 +335,21 @@ def test_fixture_learn_loop_populates_lexicon(sample_corpus):
     assert t.s1 >= len(sample_corpus)  # at least one word inferred per utterance
 
 
+def test_readme_library_example_runs(monkeypatch):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    start = readme.index("```python\n", readme.index("## Library use")) + len("```python\n")
+    code = readme[start:readme.index("```", start)]
+    monkeypatch.chdir(ROOT)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, "README.md", "exec"), {})
+    lines = out.getvalue().splitlines()
+    corpus = load_corpus(ROOT / "tests" / "fixtures" / "sample20.txt")
+    assert len(lines) == len(corpus) == 20
+    for line, utterance in zip(lines, corpus):
+        assert line.replace(" ", "") == utterance.raw
+
+
 # Exact ties: the winning and the rival reading add the same float terms
 # in another order (x + y == y + x), so only the tie rule separates them.
 # It keeps the first candidate reached: at each end position the earliest
@@ -354,3 +374,31 @@ def test_exact_ties_follow_the_tie_rule(commits, u, order, expected, rival):
     for i, w in enumerate(rival):
         tied += word_score(t, rival[:i], w, order)
     assert tied == score
+
+
+def test_order3_first_word_alone_bounds_the_scan_only_outside_the_lexicon():
+    # "ab" is a lexicon word, and "ab", "d" a seen bigram, but "d" is so
+    # frequent that the back-off bi("", "d") scores below that bigram.  The
+    # winner is "a", "b", "d", where "b" is outside the lexicon.  At its last
+    # word, "ab" read alone plus the back-off term lies below the score:
+    # taken into the bound of the other starts although "ab" is a lexicon
+    # start, it would skip the scan that finds "b".  The 144 fillers, rich
+    # in "b", keep "b" cheap to spell.
+    others = [s for s in default_inventory().symbols if s not in "ab"]
+    t = CountTables()
+    for x in others:
+        for filler in ("bb" + x, "b" + x + "b", x + "bb"):
+            t.commit([filler])
+    for _ in range(200):
+        t.commit(["a"])
+    for _ in range(400):
+        t.commit(["d"])
+    t.commit(["ab", "d"])
+    t.commit(["ab"])
+    t.commit(["ab"])
+    assert word_score(t, ("ab",), "d", 2) > word_score(t, ("",), "d", 2)
+    cfg = LearnerConfig(order=3)
+    seg, score = segment(t, "abd", cfg)
+    assert seg.words == ("a", "b", "d")
+    assert score == exhaustive_minimum(t, "abd", cfg)
+    assert word_score(t, (), "ab", 3) + word_score(t, ("",), "d", 2) < score
