@@ -94,17 +94,21 @@ def _log_chain(tables: CountTables):
     against the inventory; context words are only looked up, never spelled.
     Unigram scores are memoized per word.
 
-    escapes = (e2, e3) are the logs of the bigram and trigram escape masses,
-    0.0 while an order has seen nothing.  "" is never committed, so for
-    every w, bi("", w) == uni(w) - e2 and tri("", "", w) == bi("", w) - e3.
+    escapes = (e1, e2, e3) are the logs of the unigram, bigram and trigram
+    escape masses, 0.0 while an order has seen nothing.  "" is never
+    committed, so for every w, bi("", w) == uni(w) - e2 and
+    tri("", "", w) == bi("", w) - e3.
 
     A novel word's spelling score grows by one phoneme term per phoneme, so
-    substrings(u) extends each score ending at i - 1 by u[i - 1]: uni's
-    subtractions in the same order, so the scores are bit-identical.  It
-    returns costs[i][j] = uni(u[j:i]), 0 <= j < i <= n = len(u), built one
-    end position i at a time in O(n^2) subtractions, and starts[i], mapping
-    each j whose u[j:i] is a lexicon word to it in increasing j.  The walk
-    from each start looks up only substrings in the tables' `prefixes`.
+    substrings(u) extends each score ending at i - 1 by u[i - 1], in uni's
+    order of subtractions.  It returns spelled[i][j], u[j:i]'s spelling
+    score before the escape term, 0 <= j < i <= n = len(u), built one end
+    position i at a time in O(n^2) subtractions, so spelled[i][j] - e1 is
+    bit-identical to uni(u[j:i]) whenever u[j:i] is outside the lexicon.
+    Rounding is monotone and every phoneme term is >= 0, so spelled[i][j]
+    never falls as j falls.  starts[i] maps each j whose u[j:i] is a
+    lexicon word to it in increasing j; the walk from each start looks up
+    only substrings in the tables' `prefixes`.
     """
     log = math.log
     counts = tables.phonemes
@@ -149,18 +153,14 @@ def _log_chain(tables: CountTables):
                 if word in unigram_counts:
                     starts[i][j] = word
                 i += 1
-        # acc[j] is u[j:i]'s spelling score before the escape term
         acc = []
-        costs = [[]]
-        for i, ch in enumerate(u, 1):
+        spelled = [acc]
+        for ch in u:
             log_i = char_logs[ch]
             acc = [value - log_i for value in acc]
             acc.append(sigma_head - log_i)
-            col = [value - log_escape1 for value in acc]
-            for j, word in starts[i].items():
-                col[j] = uni(word)
-            costs.append(col)
-        return costs, starts
+            spelled.append(acc)
+        return spelled, starts
 
     bigram_counts = tables.bigrams
     denom2 = len(bigram_counts) + tables.s2
@@ -184,7 +184,7 @@ def _log_chain(tables: CountTables):
             return tri_head - log(count / bigram_counts[(prev2, prev1)])
         return bi(prev1, word) - log_escape3
 
-    return uni, bi, tri, substrings, (log_escape2, log_escape3)
+    return uni, bi, tri, substrings, (log_escape1, log_escape2, log_escape3)
 
 
 def _chain(tables: CountTables):
@@ -226,18 +226,20 @@ def word_score(tables: CountTables, context, word: str, order: int) -> float:
 class UtteranceScorer:
     """One utterance's view of the tables' shared back-off chain.
 
-    `costs` and `starts` are the chain's substrings(u): costs[i][j] is
-    uni(u[j:i]), built one end position at a time in O(n^2) float
-    subtractions, and starts[i] maps each start of a lexicon word ending at i
-    to that word, found by lookups along lexicon prefixes only.  The search
-    reads them and scores lexicon words with the chain's bi, tri and
-    `escapes`, the same chain word_score reads, so every score is
-    bit-identical to the equivalent word_score call.  The scorer builds no
-    chain of its own, and the tables must not change while it lives.
+    `spelled` and `starts` are the chain's substrings(u): spelled[i][j] is
+    u[j:i]'s spelling score before the escape term, so a word outside the
+    lexicon costs spelled[i][j] - escapes[0], built one end position at a
+    time in O(n^2) float subtractions; starts[i] maps each start of a
+    lexicon word ending at i to that word, found by lookups along lexicon
+    prefixes only.  The search reads them and scores lexicon words with
+    the chain's uni, bi, tri and `escapes`, the same chain word_score
+    reads, so every score is bit-identical to the equivalent word_score
+    call.  The scorer builds no chain of its own, and the tables must not
+    change while it lives.
     """
 
-    __slots__ = ("costs", "starts", "escapes", "uni", "bi", "tri")
+    __slots__ = ("spelled", "starts", "escapes", "uni", "bi", "tri")
 
     def __init__(self, tables: CountTables, u: str):
         self.uni, self.bi, self.tri, substrings, self.escapes = _chain(tables)
-        self.costs, self.starts = substrings(u)
+        self.spelled, self.starts = substrings(u)

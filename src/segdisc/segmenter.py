@@ -2,58 +2,56 @@
 
 `segment` finds the segmentation of an unsegmented phoneme string with the
 lowest total negative log probability under the configured model order,
-by dynamic programming over prefix end positions.  Every model order
-scores words through the tables' one log-domain back-off chain, the one
-`word_score` reads, built on first use after a commit: its
-`estimator.UtteranceScorer` view gives each substring's unigram cost and
-the lexicon words among them, and the chain is called only for those.  A
-word u[j:i] may start at any j < limit[i], the start bound: one past the
-last vowel before i under the vowel rule, i without it.  Under the rule an
-utterance without a vowel has limit[n] = 1, so it is read as one word.
+by dynamic programming over prefix end positions.  Every order scores
+words through the tables' one log-domain back-off chain, the one
+`word_score` reads: its `estimator.UtteranceScorer` view gives each
+substring's spelling score and the lexicon words among them, and the
+chain is called only for those.  A word u[j:i] may start at any
+j < limit[i], the start bound: one past the last vowel before i under the
+vowel rule, i without it.  Under the rule an utterance without a vowel has
+limit[n] = 1, so it is read as one word.
 
 `commit` counts every token, so only lexicon words occur in a seen bigram
 or trigram, and each search keeps per position only the history states
 that score a next word differently (back-off state minimisation, as in
 Allauzen, Mohri and Roark, ACL 2003).  Order 1 keeps one.  Order 2 keeps
 the one-word reading, each lexicon last word, and one state shared by
-every last word outside the lexicon, after which every next word w adds
-bi("", w).  Order 3 keeps the same, but splits a lexicon last word by the
-word before only where the two form a seen bigram: a trigram is only
-counted along with its last bigram, so after any other pair x, w the next
-word v adds tri("", w, v).  Likewise a word outside the lexicon adds the
-same score after every history, bi("", w), or tri("", "", w) after two or
-more words, so its cell is one addition to the best reading ending where
-it starts.  Float rounding is monotone, so min(x) + c is bit-identical to
-min(x + c), and every score equals the one a dense search over all
-histories computes.
+every novel last word, one outside the lexicon, after which every next
+word w adds bi("", w).  Order 3 keeps the same, but splits a lexicon last
+word by the word before only where the two form a seen bigram: a trigram
+is only counted along with its last bigram, so after any other pair x, w
+the next word v adds tri("", w, v).  Likewise a novel word adds the same
+score after every history, so its cell is one addition to the best
+reading ending where it starts.  Float rounding is monotone, so
+min(x) + c is bit-identical to min(x + c), and every score equals the one
+a dense search over all histories computes.
 
-The search visits O(n^2) cells (pairs of end positions) of an n-phoneme
-utterance, where the dense searches took O(n^3) and O(n^4).  At orders 2
-and 3 a lexicon word's cell costs O(1 + h) for the h lexicon words ending
+Each column i scans its novel cells from the right and stops at the first
+whose cost alone, spelled[i][j] less the escape terms, exceeds the best
+novel cell so far.  That is exact: the cost only grows leftwards, as
+rounding is monotone and each phoneme term is >= 0; every history score
+is >= 0; and the test is strict.  Only lexicon cells are stored, one dict
+per column, so memory beyond them and the scorer's n^2/2 spelling scores
+is O(n); the path walk recomputes a novel cell with the forward pass's own
+expression.  A lexicon cell costs O(1 + h) for the h lexicon words ending
 where it starts, plus at order 3 the splits stored for each that forms a
-seen bigram with it; every other cell costs O(1).  The scorer's cost
-columns take O(n^2) float subtractions, one column costs[i] per end
-position, plus lookups only along lexicon prefixes; words are sliced only
-for lexicon cells and on the winning path.
+seen bigram with it.
 
 Ties are resolved exactly as a strict `score < best` update does when the
 unsplit candidate is examined first and split points are visited left to
 right: at equal score the candidate keeping the whole remaining span as
-one word survives.  The order-2 and order-3 searches store no back-pointers:
-`_walk_back` takes the first last word that reaches the best score, and at
-each word of the winning path the first start of the word before that
-reaches the cell's score, rounding near-ties included.  It tests each
-lexicon start on its own, with its own bi or tri term.  Every other start
-adds one shared term to a reading whose best value the forward pass
-stored, so by the monotone rounding above they are scanned, from the left
-up to the first lexicon start that reached the score, only when that best
-value plus the term reaches it.  At order 3 the first word read alone is
-one of them when it is outside the lexicon (a lexicon one may form a seen
-bigram, with its own term); as fl(min(a, b) + c) = min(fl(a + c),
-fl(b + c)), one bound covers it and novel[j].  A word on the path so costs
-O(1 + h) for the h lexicon words ending where it starts, and O(n) at
-worst, when the word before it is outside the lexicon or ties with one
-that is.
+one word survives.  Order 1 keeps the leftmost minimum with `<=` from the
+right.  Orders 2 and 3 store no back-pointers: `_walk_back` takes, from
+the end, the first start of the word before that reaches the cell's
+score, rounding near-ties included.  It tests each lexicon start with its
+own bi or tri term.  Every other start adds one shared term to a reading
+whose best value the forward pass stored, so by the monotone rounding
+above they are scanned, from the left up to the first lexicon start that
+reached the score, only when that best value plus the term reaches it.
+At order 3 the first word read alone is one of them when it is outside
+the lexicon (a lexicon one may form a seen bigram, with its own term); as
+fl(min(a, b) + c) = min(fl(a + c), fl(b + c)), one bound covers it and
+novel[j].
 """
 
 from __future__ import annotations
@@ -150,188 +148,227 @@ def segment(tables: CountTables, u: str, cfg: LearnerConfig) -> tuple[Segmentati
 
 def _search_unigram(scorer, u, limit):
     n = len(u)
-    costs = scorer.costs
+    uni, spelled, starts, escape1 = scorer.uni, scorer.spelled, scorer.starts, scorer.escapes[0]
     best = [0.0] * (n + 1)
     back = [0] * (n + 1)
     for i in range(1, n + 1):
-        col = costs[i]
-        # an infeasible prefix scores +inf, so it never wins a strict <
-        score = col[0] if limit[i] else _INF
-        split = 0
-        for j in range(1, limit[i]):
-            cand = best[j] + col[j]
-            if cand < score:
-                score = cand
-                split = j
+        col, here, lim = spelled[i], starts[i], limit[i]
+        score, split = _INF, 0  # an infeasible prefix scores +inf, so it never wins
+        # the novel cells from the right: <= keeps the leftmost minimum, and
+        # the first novel cost above the running best ends the scan
+        for j in range(lim - 1, -1, -1):
+            if j not in here:
+                cost = col[j] - escape1  # uni(u[j:i])
+                if cost > score:
+                    break
+                cand = best[j] + cost
+                if cand <= score:
+                    score, split = cand, j
+        for j, word in here.items():
+            if j >= lim:
+                break
+            cand = best[j] + uni(word)
+            if cand < score or cand == score and j < split:
+                score, split = cand, j
         best[i] = score
         back[i] = split
-    out = []
-    i = n
-    while i > 0:
+    out, i = [], n
+    while i:
         out.append(u[back[i]:i])
         i = back[i]
-    out.reverse()
-    return out, best[n]
+    return out[::-1], best[n]
 
 
 def _search_bigram(scorer, u, limit):
     n = len(u)
-    bi = scorer.bi
-    costs = scorer.costs
-    starts = scorer.starts
-    escape2 = scorer.escapes[0]
-    # state[j][i]: best score for u[:i] whose last word is u[j:i];
-    # j == 0 is the single-word reading, scored as a first word.
-    state = [[_INF] * (n + 1) for _ in range(n)]
-    # novel[j]: the best state[k][j] over the k outside starts[j], which all
-    # score the next word alike; ending[j]: the best state[k][j] over every k.
-    novel = [_INF] * (n + 1)
-    ending = [_INF] * (n + 1)
+    uni, bi, spelled, starts = scorer.uni, scorer.bi, scorer.spelled, scorer.starts
+    escape1, escape2, _ = scorer.escapes
+    # cells[i][j]: best score for u[:i] whose last word is the lexicon word
+    # u[j:i], for each j < limit[i] in starts[i], in the same order; j == 0
+    # is the single-word reading, scored as a first word.  novel[i]: the best
+    # reading of u[:i] whose last word is outside the lexicon, which all
+    # score the next word alike; ending[i]: the best reading of u[:i].
+    cells = [{}]
+    novel, ending = [_INF] * (n + 1), [_INF] * (n + 1)
     for i in range(1, n + 1):
-        here = starts[i]
-        col = costs[i]
-        state[0][i] = top = col[0] if limit[i] else _INF
-        shared = _INF if 0 in here else top
-        for j in range(1, limit[i]):
-            base = col[j] - escape2  # bi("", u[j:i])
+        col, here, lim = spelled[i], starts[i], limit[i]
+        shared = _INF
+        for j in range(lim - 1, 0, -1):
             if j not in here:
+                base = col[j] - escape1 - escape2  # bi("", u[j:i])
+                if base > shared:
+                    break
                 score = ending[j] + base
                 if score < shared:
                     shared = score
-            else:
-                word = here[j]
-                score = novel[j] + base
-                for k, prev in starts[j].items():
-                    cand = state[k][j] + bi(prev, word)
-                    if cand < score:
-                        score = cand
-            state[j][i] = score
+        if lim and 0 not in here:
+            score = col[0] - escape1  # uni(u[:i])
+            if score < shared:
+                shared = score
+        top = shared
+        lexical = {}
+        for j, word in here.items():
+            if j >= lim:
+                break
+            score = novel[j] + (uni(word) - escape2) if j else uni(word)
+            # the lexicon cells of column j are the first of starts[j]
+            for prev, value in zip(starts[j].values(), cells[j].values()):
+                cand = value + bi(prev, word)
+                if cand < score:
+                    score = cand
+            lexical[j] = score
             if score < top:
                 top = score
+        cells.append(lexical)
         novel[i] = shared
         ending[i] = top
 
-    walk = state, novel, costs, bi, escape2
+    walk = cells, novel, ending, spelled, uni, bi, escape1, escape2
 
     def step(j, i, word, v):
-        state, novel, costs, bi, escape2 = walk
-        base = costs[i][j] - escape2  # bi("", word)
-        return (lambda t: state[t][j]), (lambda prev: bi(prev, word)), base, novel[j] + base
+        cells, novel, ending, spelled, uni, bi, escape1, escape2 = walk
+        here, col = cells[j], spelled[j]
 
-    return _walk_back(u, [state[j][n] for j in range(n)], starts, step)
+        def value(t):
+            # a cell (t, j) not stored is recomputed as a novel cell
+            if t in here:
+                return here[t]
+            return ending[t] + (col[t] - escape1 - escape2) if t else col[0] - escape1
+        if word is None:
+            return value, lambda prev: 0.0, 0.0, novel[j]
+        base = uni(word) - escape2  # bi("", word)
+        return value, lambda prev: bi(prev, word), base, novel[j] + base
+
+    return _walk_back(u, ending[n], starts, step)
 
 
 def _search_trigram(scorer, u, limit, bigram_counts):
     n = len(u)
-    bi = scorer.bi
-    tri = scorer.tri
-    costs = scorer.costs
-    starts = scorer.starts
-    escape2, escape3 = scorer.escapes
+    uni, bi, tri, starts = scorer.uni, scorer.bi, scorer.tri, scorer.starts
+    spelled, (escape1, escape2, escape3) = scorer.spelled, scorer.escapes
     # Pair (j, i) stands for the readings of u[:i] in two or more words
-    # whose last word is u[j:i]; best[j][i] is the best of them.  When
-    # u[j:i] is a lexicon word, split[j][i] maps each k whose u[k:j], u[j:i]
-    # is a seen bigram to the best reading ending in those two words, and
-    # rest[j][i] is the best over every other k, after which every next
-    # word v adds tri("", u[j:i], v).  Each row of split shares one empty
-    # dict, which is replaced, never changed.  novel[j] is the best pair
-    # (k, j), k >= 1, whose last word u[k:j] is outside the lexicon;
-    # ending[j] is the best pair (k, j) over every k >= 1.
-    best = [[_INF] * (n + 1) for _ in range(n)]
-    rest = [[_INF] * (n + 1) for _ in range(n)]
-    split = [[{}] * (n + 1) for _ in range(n)]
-    novel = [_INF] * (n + 1)
-    ending = [_INF] * (n + 1)
-    # firsts[j]: score of u[:j] as the first word
-    firsts = [_INF] + [costs[j][0] if limit[j] else _INF for j in range(1, n + 1)]
+    # whose last word is u[j:i].  For a lexicon word u[j:i], j < limit[i],
+    # cells[i][j] = (best, rest, split): best is the best of those readings;
+    # split maps each k whose u[k:j], u[j:i] is a seen bigram to the best
+    # reading ending in those two words, and rest is the best over every
+    # other k, after which every next word v adds tri("", u[j:i], v).
+    # novel[i] is the best pair (j, i), j >= 1, whose last word u[j:i] is
+    # outside the lexicon; ending[i] is the best pair (j, i) over every
+    # j >= 1; firsts[i] scores u[:i] as the first word.
+    cells = [{}]
+    novel, ending, firsts = [_INF] * (n + 1), [_INF] * (n + 1), [_INF] * (n + 1)
     for i in range(1, n + 1):
-        here = starts[i]
-        col = costs[i]
-        shared = overall = _INF
-        for j in range(1, limit[i]):
-            base = col[j] - escape2  # bi("", u[j:i])
-            added = base - escape3  # tri("", "", u[j:i])
+        col, here, lim = spelled[i], starts[i], limit[i]
+        shared = _INF
+        for j in range(lim - 1, 0, -1):
             if j not in here:
+                base = col[j] - escape1 - escape2  # bi("", u[j:i])
+                if base > shared:
+                    break
+                added = base - escape3  # tri("", "", u[j:i])
                 # base after the first word alone, added after two or more
                 top = ending[j] + added
                 opening = firsts[j] + base
                 top = opening if opening < top else top
                 if top < shared:
                     shared = top
+        overall = shared
+        lexical = {}
+        for j, word in here.items():
+            if j >= lim:
+                break
+            if not j:
+                continue
+            base = uni(word) - escape2
+            added = base - escape3
+            others = novel[j] + added
+            top, scores, before = _INF, {}, starts[j]
+            if 0 in before and (before[0], word) in bigram_counts:
+                top = scores[0] = firsts[j] + bi(before[0], word)
             else:
-                word = here[j]
-                others = novel[j] + added
-                top = _INF
-                scores = {}
-                for k, prev1 in starts[j].items():
-                    if (prev1, word) not in bigram_counts:
-                        if k:
-                            score = best[k][j] + added
-                            if score < others:
-                                others = score
-                        continue
-                    if k:
-                        score = rest[k][j] + tri("", prev1, word)
-                        for t, prefix in split[k][j].items():
-                            cand = prefix + tri(starts[k][t], prev1, word)
-                            if cand < score:
-                                score = cand
-                    else:
-                        score = firsts[j] + bi(prev1, word)
-                    scores[k] = score
-                    if score < top:
-                        top = score
-                if 0 not in scores:
-                    opening = firsts[j] + base
-                    if opening < others:
-                        others = opening
-                rest[j][i] = others
-                split[j][i] = scores
-                if others < top:
-                    top = others
-            best[j][i] = top
+                opening = firsts[j] + base
+                if opening < others:
+                    others = opening
+            for k, (value, rest, split) in cells[j].items():
+                prev1 = before[k]
+                if (prev1, word) not in bigram_counts:
+                    score = value + added
+                    if score < others:
+                        others = score
+                    continue
+                score = rest + tri("", prev1, word)
+                for t, prefix in split.items():
+                    cand = prefix + tri(starts[k][t], prev1, word)
+                    if cand < score:
+                        score = cand
+                scores[k] = score
+                if score < top:
+                    top = score
+            if others < top:
+                top = others
+            lexical[j] = top, others, scores
             if top < overall:
                 overall = top
+        cells.append(lexical)
         novel[i] = shared
         ending[i] = overall
+        if lim:
+            firsts[i] = uni(here[0]) if 0 in here else col[0] - escape1
 
-    walk = costs, tri, starts, escape2, escape3, bigram_counts, firsts, best, split, novel
+    walk = (cells, novel, ending, firsts, spelled, starts, uni, tri,
+            escape1, escape2, escape3, bigram_counts)
 
     def step(j, i, word, v):
-        costs, tri, starts, escape2, escape3, bigram_counts, firsts, best, split, novel = walk
-        pair = split[j][i]
-        base = costs[i][j] - escape2
-        added = base - escape3
+        (cells, novel, ending, firsts, spelled, starts, uni, tri,
+         escape1, escape2, escape3, bigram_counts) = walk
+        here, col = cells[j], spelled[j]
+        # for the last word (None) value(t) is the reading ending in u[t:j]
+        pair = cells[i][j][2] if word and j in cells[i] else {}
+        base = uni(word) - escape2 if word else 0.0
+        added = base - escape3 if word else 0.0
         opening = firsts[j] + base
         other = tri("", word, v) if v else 0.0  # v's term after an unseen bigram
         others = novel[j] + added
         if 0 not in starts[j] and opening < others:
             others = opening
         seen = (word, v) in bigram_counts
-        return ((lambda t: pair[t] if t in pair else (best[t][j] + added if t else opening)),
-                (lambda prev: tri(prev, word, v) if seen else other), other, others + other)
 
-    return _walk_back(u, [firsts[n]] + [best[j][n] for j in range(1, n)], starts, step)
+        def value(t):
+            # a pair (t, j) not stored is recomputed as a novel pair
+            if t in pair:
+                return pair[t]
+            if not t:
+                return opening
+            if t in here:
+                return here[t][0] + added
+            spell = col[t] - escape1 - escape2
+            return min(ending[t] + (spell - escape3), firsts[t] + spell) + added
+        return value, (lambda prev: tri(prev, word, v) if seen else other), other, others + other
+
+    score = firsts[n] if firsts[n] < ending[n] else ending[n]
+    return _walk_back(u, score, starts, step)
 
 
-def _walk_back(u, last, starts, step):
-    """The winning path's words and score, ties broken by the rule above.
+def _walk_back(u, score, starts, step):
+    """The winning path's words and the best score, ties broken as above.
 
-    last[j] scores the best reading whose last word is u[j:], j = 0 the
-    whole utterance.  step(j, i, word, v) gives, for the cell u[j:i] with
-    next word v (None at the end), (value, term, shared, bound): a lexicon
-    start t with word prev reaches value(t) + term(prev), any other start
-    value(t) + shared, bound is the least of those, and the walk moves on
-    to value(k) for the chosen k.  A step reads the search's tables from one
-    tuple, `walk`: closing over them makes them slower cell variables.
+    step(j, i, word, v) gives, for the word u[j:i] with next word v, (value,
+    term, shared, bound): a lexicon start t with word prev reaches
+    value(t) + term(prev), any other start value(t) + shared, bound is the
+    least of those, and the walk moves on to value(k) for the chosen k.
+    step(n, None, None, None) picks the last word, with terms of 0.0.
+    value(t) recomputes any cell the forward pass did not store, skipped
+    ones too, with the pass's own expression.  For t at or past the start
+    bound that is no reading at all, but such a t never decides: the
+    start chosen lies before it, and only the first to reach the score is
+    taken.  A step reads the search's tables from one tuple, `walk`:
+    closing over them makes them slower cell variables.
     """
-    score = target = min(last)
-    j = last.index(score)
-    i = len(u)
-    v = None
+    target = score
+    j = len(u)
+    i = word = v = None
     out = []
     while j:
-        word = u[j:i]
         value, term, shared, bound = step(j, i, word, v)
         before = starts[j]
         k = j
@@ -344,10 +381,9 @@ def _walk_back(u, last, starts, step):
             while t < k and (t in before or value(t) + shared != target):
                 t += 1
             k = t
-        out.append(word)
         target = value(k)
-        i, j, v = j, k, word
-    out.append(u[:i])
+        i, j, v, word = j, k, word, u[k:j]
+        out.append(word)
     out.reverse()
     return out, score
 

@@ -296,14 +296,19 @@ def spelled_alone(tables, word):
 
 
 def assert_pass_is_bit_identical(tables, u):
-    """Every cost cell of the scorer, by float.hex, equals word_score's and
-    the word spelled on its own, and starts[i] maps exactly the j whose
-    u[j:i] is a lexicon word, in increasing order, to that word."""
+    """Every spelled cell of the scorer outside the lexicon, less the
+    unigram escape term, equals by float.hex word_score's and the word
+    spelled on its own, and starts[i] maps exactly the j whose u[j:i] is a
+    lexicon word, in increasing order, to that word."""
     scorer = UtteranceScorer(tables, u)
+    escape1 = scorer.escapes[0]
     for i in range(1, len(u) + 1):
+        assert len(scorer.spelled[i]) == i, (u, i)
         for j in range(i):
             word = u[j:i]
-            got = scorer.costs[i][j].hex()
+            if word in tables.unigrams:
+                continue
+            got = (scorer.spelled[i][j] - escape1).hex()
             assert got == word_score(tables, (), word, 1).hex(), (u, j, i)
             assert got == spelled_alone(tables, word).hex(), (u, j, i)
         lexical = [(j, u[j:i]) for j in range(i) if u[j:i] in tables.unigrams]

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import math
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from segdisc import (SENTINEL, CountTables, LearnerConfig, PhonemeMode, Segmentation,
                      UnknownPhoneme, default_inventory, is_vowel_bearing, load_corpus,
                      process_utterance, segment, train_utterance, word_score)
+from segdisc.segmenter import _search_bigram, _search_trigram, _search_unigram
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -402,3 +404,53 @@ def test_order3_first_word_alone_bounds_the_scan_only_outside_the_lexicon():
     assert seg.words == ("a", "b", "d")
     assert score == exhaustive_minimum(t, "abd", cfg)
     assert word_score(t, (), "ab", 3) + word_score(t, ("",), "d", 2) < score
+
+
+def test_order1_scan_reaches_a_whole_novel_word_that_ties_the_best():
+    # In uniform mode every phoneme has frequency 1/51, and "a" is 1 of the
+    # 51 unigram types and tokens, so uni("a") is exactly the term that
+    # spelling "a" subtracts, and "ab", outside the lexicon, ties "a", "b" in
+    # every bit.  Scanning from the right, the whole word's cost equals the
+    # best found so far: only a strict cutoff goes on to it and keeps the
+    # unsplit reading, as the tie rule asks.
+    t = CountTables()
+    t.commit(["a"], PhonemeMode.UNIFORM)
+    for _ in range(48):
+        t.commit(["c"], PhonemeMode.UNIFORM)
+    seg, score = segment(t, "ab", LearnerConfig(order=1))
+    assert seg.words == ("ab",)
+    assert word_score(t, (), "a", 1) + word_score(t, (), "b", 1) == score
+    assert exhaustive_minimum(t, "ab", LearnerConfig(order=1)) == score
+
+
+@pytest.mark.parametrize("search, cells", [(_search_unigram, ()), (_search_bigram, ("walk",)),
+                                           (_search_trigram, ("walk",))],
+                         ids=["order1", "order2", "order3"])
+def test_searches_keep_their_tables_out_of_cell_variables(search, cells):
+    # a name that a nested function (or, before Python 3.12, a comprehension)
+    # reads is a cell variable of the whole search, and every read of it in
+    # the forward loop a slower cell load; only the tuple that the walk's
+    # step reads may be one
+    assert search.__code__.co_cellvars == cells
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_long_line_memory_per_n_squared(order):
+    # the searches store lexicon cells only, so one long line costs little
+    # more than the scorer's n^2/2 spelling scores at every order; dense
+    # per-cell matrices took ~37 and ~54 bytes per n^2 at orders 2 and 3
+    lines = (ROOT / "tests" / "fixtures" / "synthetic308.txt").read_text().splitlines()
+    t = CountTables()
+    for line in lines:
+        train_utterance(t, line.split(), LearnerConfig())
+    stress = "".join(lines[300:]).replace(" ", "")  # the fixture's stress utterances
+    u = (stress * 2)[:300]
+    cfg = LearnerConfig(order=order)
+    tracemalloc.start()
+    try:
+        seg, _ = segment(t, u, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "".join(seg.words) == u
+    assert peak <= 24 * len(u) ** 2, peak / len(u) ** 2

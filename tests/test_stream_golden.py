@@ -21,6 +21,9 @@ changed.  After an intended change, regenerate the digests with
     PYTHONPATH=src python tests/test_stream_golden.py
 
 and review the diff of tests/fixtures/golden_stream.json.
+
+The same cases also check, with no stored data, that no chosen reading
+has two adjacent words outside the lexicon.
 """
 
 import hashlib
@@ -71,6 +74,25 @@ def test_stream_matches_golden(order, mode, vowel):
     assert got["words"] == expected["words"], "different words"
     assert got["words_and_scores"] == expected["words_and_scores"], \
         "same words, different score bits"
+
+
+@pytest.mark.parametrize("order,mode,vowel", CASES, ids=[_name(*c) for c in CASES])
+def test_no_reading_has_two_adjacent_novel_words(order, mode, vowel):
+    """Merging two adjacent words outside the lexicon into one saves
+    h - e1 (- e2 - e3) and scores every later word the same, where
+    h = -ln(f#/(1 - f#)) > 0 while the sentinel frequency f# is below 1/2
+    and every escape log e_k <= 0; the margin is far above the rounding of
+    a score.  So a best reading never has two such words side by side, under
+    the vowel rule too, since the merged word keeps both vowels."""
+    from segdisc import CountTables, LearnerConfig, PhonemeMode, segment
+
+    cfg = LearnerConfig(order=order, phoneme_mode=PhonemeMode(mode), require_vowel=vowel)
+    tables = CountTables()
+    for line in CORPUS.read_text().splitlines():
+        seg, _ = segment(tables, line.replace(" ", ""), cfg)
+        novel = [w not in tables.unigrams for w in seg.words]
+        assert not any(a and b for a, b in zip(novel, novel[1:])), seg.words
+        tables.commit(seg.words, cfg.phoneme_mode)
 
 
 if __name__ == "__main__":
