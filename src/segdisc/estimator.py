@@ -84,9 +84,10 @@ def p_trigram(tables: CountTables, prev2: str, prev1: str, word: str) -> Fractio
 def _log_chain(tables: CountTables):
     """The back-off chain in negative natural log units.
 
-    Returns (uni, bi, tri, substrings, escapes).  uni(w), bi(prev, w) and
-    tri(prev2, prev1, w) are -ln of p_unigram, p_bigram and p_trigram,
-    accumulated per phoneme so that long novel words cannot underflow.
+    Returns (uni, bi, tri, substrings, escapes, gaps).  uni(w),
+    bi(prev, w) and tri(prev2, prev1, w) are -ln of p_unigram, p_bigram and
+    p_trigram, accumulated per phoneme so that long novel words cannot
+    underflow.
     The table aggregates are read once, so the chain holds for one table
     state only; `_chain` builds it on first use after a commit.  A phoneme's
     log is computed on first use: substrings(u) fills the symbols of u, and
@@ -97,7 +98,10 @@ def _log_chain(tables: CountTables):
     escapes = (e1, e2, e3) are the logs of the unigram, bigram and trigram
     escape masses, 0.0 while an order has seen nothing.  "" is never
     committed, so for every w, bi("", w) == uni(w) - e2 and
-    tri("", "", w) == bi("", w) - e3.
+    tri("", "", w) == bi("", w) - e3.  gaps = (h - e1, h - e1 - e2,
+    h - e1 - e2 - e3), with h = -ln(f#/(1 - f#)) the spelling model's head
+    term, are what merging two adjacent novel words saves at least, at
+    orders 1, 2 and 3: the searches' novel-scan bars.
 
     A novel word's spelling score grows by one phoneme term per phoneme, so
     substrings(u) extends each score ending at i - 1 by u[i - 1], in uni's
@@ -184,7 +188,9 @@ def _log_chain(tables: CountTables):
             return tri_head - log(count / bigram_counts[(prev2, prev1)])
         return bi(prev1, word) - log_escape3
 
-    return uni, bi, tri, substrings, (log_escape1, log_escape2, log_escape3)
+    gap1 = sigma_head - log_escape1
+    gaps = (gap1, gap1 - log_escape2, gap1 - log_escape2 - log_escape3)
+    return uni, bi, tri, substrings, (log_escape1, log_escape2, log_escape3), gaps
 
 
 def _chain(tables: CountTables):
@@ -234,12 +240,15 @@ class UtteranceScorer:
     prefixes only.  The search reads them and scores lexicon words with
     the chain's uni, bi, tri and `escapes`, the same chain word_score
     reads, so every score is bit-identical to the equivalent word_score
-    call.  The scorer builds no chain of its own, and the tables must not
-    change while it lives.
+    call.  `gaps` are the chain's, and grow = 1 + (n + 8) 2^-50 is the
+    searches' relative rounding margin for this utterance's n.  The scorer
+    builds no chain of its own, and the tables must not change while it
+    lives.
     """
 
-    __slots__ = ("spelled", "starts", "escapes", "uni", "bi", "tri")
+    __slots__ = ("spelled", "starts", "escapes", "gaps", "grow", "uni", "bi", "tri")
 
     def __init__(self, tables: CountTables, u: str):
-        self.uni, self.bi, self.tri, substrings, self.escapes = _chain(tables)
+        self.uni, self.bi, self.tri, substrings, self.escapes, self.gaps = _chain(tables)
         self.spelled, self.starts = substrings(u)
+        self.grow = 1.0 + (len(u) + 8) * 2.0 ** -50

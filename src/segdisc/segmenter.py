@@ -27,15 +27,37 @@ min(x) + c is bit-identical to min(x + c), and every score equals the one
 a dense search over all histories computes.
 
 Each column i scans its novel cells from the right and stops at the first
-whose cost alone, spelled[i][j] less the escape terms, exceeds the best
-novel cell so far.  That is exact: the cost only grows leftwards, as
-rounding is monotone and each phoneme term is >= 0; every history score
-is >= 0; and the test is strict.  Only lexicon cells are stored, one dict
-per column, so memory beyond them and the scorer's n^2/2 spelling scores
-is O(n); the path walk recomputes a novel cell with the forward pass's own
-expression.  A lexicon cell costs O(1 + h) for the h lexicon words ending
-where it starts, plus at order 3 the splits stored for each that forms a
-seen bigram with it.
+start j where either of two strict tests holds, so no start it skips could
+win or tie.  The cost test: the cost alone, spelled[i][j] less the escape
+terms, exceeds the running minimum of the column's novel cells; the cost
+only grows leftwards, as rounding is monotone and each phoneme term is
+>= 0, and no history scores below 0.  The bar test: the cell exceeds
+(minimum + g) * grow.  The gap g is what merging two adjacent novel words
+saves at least: h - e1, h - e1 - e2 and h - e1 - e2 - e3 at orders 1, 2
+and 3, with h = -ln(f#/(1 - f#)) > 0 (f# < 1/2 in every mode) and each
+e_k <= 0.  In real arithmetic, let B be the reading a novel cell adds its
+word to (best at order 1, ending at orders 2 and 3), E its escape terms
+and p(t, j) the phoneme terms of u[t:j].  If u[t:j] may be read as a
+novel word, B(j) <= B(t) + h + p(t, j) - E, so the cell (t, i) =
+B(t) + h + p(t, i) - E >= B(j) + p(j, i) = cell (j, i) - g.  At order 3
+the cell also reads u[:t] alone first, with one escape term fewer; as
+u[:t], u[t:j] counts in ending[j], that obeys the bound too, so the bar
+tests ending[j] + added, not its minimum with that opening.  Two guards
+make every t < j such a start: no lexicon word ends at j (`not starts[j]`;
+a lexicon word scores by its count, which can exceed its spelling), and
+the vowel rule allows every word ending at j (`limit[j] == j`, always true
+without the rule).  Rounding: every term is >= 0, so a float sum of m
+terms is within a factor (1 +- 2^-53)^m of its real value, whatever its
+size.  Each side sums at most n + 4 terms, B counted as one, so the two
+sides, g and the bar lose at most (2n + 17) 2^-53 relative, which
+grow = 1 + (n + 8) 2^-50 covers for any score and any n below 2^45.
+
+Only lexicon cells are stored, one dict per column, so memory beyond them
+and the scorer's n^2/2 spelling scores is O(n); the path walk recomputes a
+novel cell, skipped or not, with the forward pass's own expression.  A
+lexicon cell costs O(1 + k) for the k lexicon words ending where it
+starts, plus at order 3 the splits stored for each that forms a seen
+bigram with it.
 
 Ties are resolved exactly as a strict `score < best` update does when the
 unsplit candidate is examined first and split points are visited left to
@@ -149,13 +171,13 @@ def segment(tables: CountTables, u: str, cfg: LearnerConfig) -> tuple[Segmentati
 def _search_unigram(scorer, u, limit):
     n = len(u)
     uni, spelled, starts, escape1 = scorer.uni, scorer.spelled, scorer.starts, scorer.escapes[0]
+    gap, grow = scorer.gaps[0], scorer.grow
     best = [0.0] * (n + 1)
     back = [0] * (n + 1)
     for i in range(1, n + 1):
         col, here, lim = spelled[i], starts[i], limit[i]
-        score, split = _INF, 0  # an infeasible prefix scores +inf, so it never wins
-        # the novel cells from the right: <= keeps the leftmost minimum, and
-        # the first novel cost above the running best ends the scan
+        score, split, bar = _INF, 0, _INF  # an infeasible prefix scores +inf, never wins
+        # the novel cells from the right: <= keeps the leftmost minimum
         for j in range(lim - 1, -1, -1):
             if j not in here:
                 cost = col[j] - escape1  # uni(u[j:i])
@@ -164,6 +186,9 @@ def _search_unigram(scorer, u, limit):
                 cand = best[j] + cost
                 if cand <= score:
                     score, split = cand, j
+                    bar = (cand + gap) * grow
+                elif cand > bar and not starts[j] and limit[j] == j:
+                    break
         for j, word in here.items():
             if j >= lim:
                 break
@@ -183,6 +208,7 @@ def _search_bigram(scorer, u, limit):
     n = len(u)
     uni, bi, spelled, starts = scorer.uni, scorer.bi, scorer.spelled, scorer.starts
     escape1, escape2, _ = scorer.escapes
+    gap, grow = scorer.gaps[1], scorer.grow
     # cells[i][j]: best score for u[:i] whose last word is the lexicon word
     # u[j:i], for each j < limit[i] in starts[i], in the same order; j == 0
     # is the single-word reading, scored as a first word.  novel[i]: the best
@@ -192,7 +218,7 @@ def _search_bigram(scorer, u, limit):
     novel, ending = [_INF] * (n + 1), [_INF] * (n + 1)
     for i in range(1, n + 1):
         col, here, lim = spelled[i], starts[i], limit[i]
-        shared = _INF
+        shared = bar = _INF
         for j in range(lim - 1, 0, -1):
             if j not in here:
                 base = col[j] - escape1 - escape2  # bi("", u[j:i])
@@ -201,6 +227,9 @@ def _search_bigram(scorer, u, limit):
                 score = ending[j] + base
                 if score < shared:
                     shared = score
+                    bar = (score + gap) * grow
+                elif score > bar and not starts[j] and limit[j] == j:
+                    break
         if lim and 0 not in here:
             score = col[0] - escape1  # uni(u[:i])
             if score < shared:
@@ -246,6 +275,7 @@ def _search_trigram(scorer, u, limit, bigram_counts):
     n = len(u)
     uni, bi, tri, starts = scorer.uni, scorer.bi, scorer.tri, scorer.starts
     spelled, (escape1, escape2, escape3) = scorer.spelled, scorer.escapes
+    gap, grow = scorer.gaps[2], scorer.grow
     # Pair (j, i) stands for the readings of u[:i] in two or more words
     # whose last word is u[j:i].  For a lexicon word u[j:i], j < limit[i],
     # cells[i][j] = (best, rest, split): best is the best of those readings;
@@ -259,7 +289,7 @@ def _search_trigram(scorer, u, limit, bigram_counts):
     novel, ending, firsts = [_INF] * (n + 1), [_INF] * (n + 1), [_INF] * (n + 1)
     for i in range(1, n + 1):
         col, here, lim = spelled[i], starts[i], limit[i]
-        shared = _INF
+        shared = bar = _INF
         for j in range(lim - 1, 0, -1):
             if j not in here:
                 base = col[j] - escape1 - escape2  # bi("", u[j:i])
@@ -267,11 +297,14 @@ def _search_trigram(scorer, u, limit, bigram_counts):
                     break
                 added = base - escape3  # tri("", "", u[j:i])
                 # base after the first word alone, added after two or more
-                top = ending[j] + added
+                late = ending[j] + added
                 opening = firsts[j] + base
-                top = opening if opening < top else top
+                top = opening if opening < late else late
                 if top < shared:
                     shared = top
+                    bar = (top + gap) * grow
+                elif late > bar and not starts[j] and limit[j] == j:
+                    break
         overall = shared
         lexical = {}
         for j, word in here.items():
@@ -362,7 +395,9 @@ def _walk_back(u, score, starts, step):
     bound that is no reading at all, but such a t never decides: the
     start chosen lies before it, and only the first to reach the score is
     taken.  A step reads the search's tables from one tuple, `walk`:
-    closing over them makes them slower cell variables.
+    closing over them makes them slower cell variables.  A word with no
+    start that reaches its score, which only a wrong bound can leave,
+    raises RuntimeError.
     """
     target = score
     j = len(u)
@@ -381,6 +416,8 @@ def _walk_back(u, score, starts, step):
             while t < k and (t in before or value(t) + shared != target):
                 t += 1
             k = t
+        if k == j:
+            raise RuntimeError(f"no start of a word ending at {j} reaches {target!r}")
         target = value(k)
         i, j, v, word = j, k, word, u[k:j]
         out.append(word)

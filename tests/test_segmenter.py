@@ -3,6 +3,7 @@ import dataclasses
 import io
 import math
 import random
+import signal
 import tracemalloc
 from pathlib import Path
 
@@ -11,7 +12,9 @@ import pytest
 from segdisc import (SENTINEL, CountTables, LearnerConfig, PhonemeMode, Segmentation,
                      UnknownPhoneme, default_inventory, is_vowel_bearing, load_corpus,
                      process_utterance, segment, train_utterance, word_score)
-from segdisc.segmenter import _search_bigram, _search_trigram, _search_unigram
+from segdisc import segmenter
+from segdisc.estimator import UtteranceScorer
+from segdisc.segmenter import _search_bigram, _search_trigram, _search_unigram, _walk_back
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -421,6 +424,105 @@ def test_order1_scan_reaches_a_whole_novel_word_that_ties_the_best():
     assert seg.words == ("ab",)
     assert word_score(t, (), "a", 1) + word_score(t, (), "b", 1) == score
     assert exhaustive_minimum(t, "ab", LearnerConfig(order=1)) == score
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_novel_scan_passes_a_start_where_a_lexicon_word_ends(order):
+    # "b" is a lexicon word seen once, so it scores above its own spelling
+    # cost, while the 144 fillers make the phoneme b cheap to spell.  In the
+    # last column of "abcd" the scan sets its bar at "d", after "a", "bc".
+    # At the next start, 2, "cd" after the best reading of "ab" lies above
+    # that bar, but the lexicon word "b" ends there: the best reading of
+    # "ab" costs more than "a" plus "b" spelled as a novel word, so the bar
+    # bounds nothing to its left.  A scan that stopped there would miss the
+    # winner, the longer novel word "bcd", and return "a", "bc", "d".
+    t = CountTables()
+    for x in "pmtnkgNfvTDs":
+        for y in "pmtnkgNfvTDs":
+            t.commit(["b" + x + y])
+    for _ in range(20):
+        t.commit(["a"])
+    t.commit(["b"])
+    cfg = LearnerConfig(order=order)
+    seg, score = segment(t, "abcd", cfg)
+    assert seg.words == ("a", "bcd")
+    assert score == exhaustive_minimum(t, "abcd", cfg)
+    rival = sum(word_score(t, ("a", "bc")[:k], w, order) for k, w in enumerate(("a", "bc", "d")))
+    assert rival > score
+
+
+def test_order1_scan_bar_keeps_its_rounding_margin():
+    # In uniform mode every phoneme costs c = ln 51 to spell, and "ab", seen
+    # once among 15 types and 2,586 tokens, scores ln 2601 = 2c, so "ab",
+    # "bbbb" ties "abbbbb" read whole in every bit, and the tie rule keeps
+    # the whole word.  The last column's scan sets its bar at "bbbb".  The
+    # next start reads "a", "bbbbb", which in real arithmetic exceeds the
+    # best by exactly the gap; its float lies above the float sum of the
+    # best and the gap, so a bar without the relative margin stops the scan
+    # there, before the whole word.
+    t = CountTables()
+    t.commit(["ab"], PhonemeMode.UNIFORM)
+    t.commit(["p"] * 2571 + list("pmtdnkgNfvTDsz"), PhonemeMode.UNIFORM)
+    cfg = LearnerConfig(order=1, phoneme_mode=PhonemeMode.UNIFORM)
+    seg, score = segment(t, "abbbbb", cfg)
+    assert seg.words == ("abbbbb",)
+    assert word_score(t, (), "ab", 1) + word_score(t, (), "bbbb", 1) == score
+    scorer = UtteranceScorer(t, "abbbbb")
+    split = word_score(t, (), "a", 1) + word_score(t, (), "bbbbb", 1)
+    assert score + scorer.gaps[0] < split < (score + scorer.gaps[0]) * scorer.grow
+
+
+def test_walk_back_raises_when_no_start_reaches_the_target():
+    # a wrong bound leaves the walk with no start that reaches the cell's
+    # score; that must fail at once, within a 1 s alarm, instead of looping
+    # forever on empty words
+    def step(j, i, word, v):
+        return (lambda t: 1.0), (lambda prev: 0.0), 0.0, 2.0
+
+    def expire(*_):
+        raise TimeoutError("the walk ran past its 1 s deadline")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        with pytest.raises(RuntimeError, match="ending at 2 reaches 0.5"):
+            _walk_back("ab", 0.5, [{}, {}, {}], step)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class CountingColumn(list):
+    reads = 0
+
+    def __getitem__(self, index):
+        CountingColumn.reads += 1
+        return list.__getitem__(self, index)
+
+
+class CountingScorer(UtteranceScorer):
+    __slots__ = ()
+
+    def __init__(self, tables, u):
+        super().__init__(tables, u)
+        self.spelled = [CountingColumn(col) for col in self.spelled]
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_novel_scan_reads_few_cells_per_column_on_a_line_of_lexicon_words(order, monkeypatch):
+    # each column's scan stops where one longer novel word beats every start
+    # to its left, so on a line of lexicon words it reads a few cells per
+    # column at any length; the cost cutoff alone read ~0.2 n per column
+    lines = (ROOT / "tests" / "fixtures" / "synthetic308.txt").read_text().splitlines()
+    t = CountTables()
+    for line in lines:
+        train_utterance(t, line.split(), LearnerConfig())
+    text = "".join(lines).replace(" ", "")
+    monkeypatch.setattr(segmenter, "UtteranceScorer", CountingScorer)
+    for n in (200, 800):
+        CountingColumn.reads = 0
+        seg, _ = segment(t, text[:n], LearnerConfig(order=order))
+        assert "".join(seg.words) == text[:n]
+        assert CountingColumn.reads <= 8 * n, (n, CountingColumn.reads / n)
 
 
 @pytest.mark.parametrize("search, cells", [(_search_unigram, ()), (_search_bigram, ("walk",)),
