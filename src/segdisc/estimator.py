@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import reduce
+from operator import sub
 
 from .phoneme import SENTINEL
 from .tables import CountTables
@@ -103,16 +105,16 @@ def _log_chain(tables: CountTables):
     term, are what merging two adjacent novel words saves at least, at
     orders 1, 2 and 3: the searches' novel-scan bars.
 
-    A novel word's spelling score grows by one phoneme term per phoneme, so
-    substrings(u) extends each score ending at i - 1 by u[i - 1], in uni's
-    order of subtractions.  It returns spelled[i][j], u[j:i]'s spelling
-    score before the escape term, 0 <= j < i <= n = len(u), built one end
-    position i at a time in O(n^2) subtractions, so spelled[i][j] - e1 is
-    bit-identical to uni(u[j:i]) whenever u[j:i] is outside the lexicon.
-    Rounding is monotone and every phoneme term is >= 0, so spelled[i][j]
-    never falls as j falls.  starts[i] maps each j whose u[j:i] is a
-    lexicon word to it in increasing j; the walk from each start looks up
-    only substrings in the tables' `prefixes`.
+    A novel word's spelling score grows by one phoneme term per phoneme:
+    u[j:i]'s score before the escape term is h less logs[j], ..., logs[i-1]
+    in that order, so less the escape term it is bit-identical to
+    uni(u[j:i]) whenever u[j:i] is outside the lexicon.  substrings(u)
+    returns (starts, logs, h): logs[k] is the log of u[k]'s frequency, and
+    starts[i] maps each j whose u[j:i] is a lexicon word to it in
+    increasing j, one shared empty dict that no caller may write where
+    there is none; the walk from each start looks up only substrings in
+    the tables' `prefixes`.  `UtteranceScorer` spells the scores from
+    them.
     """
     log = math.log
     counts = tables.phonemes
@@ -147,24 +149,22 @@ def _log_chain(tables: CountTables):
             uni_cache[word] = value
         return value
 
-    def substrings(u: str) -> tuple[list[list[float]], list[dict[int, str]]]:
+    def substrings(u: str) -> tuple[list[dict[int, str]], list[float], float]:
         fill(u)
         n = len(u)
-        starts = [{} for _ in range(n + 1)]
+        # one shared empty dict where no lexicon word ends, never written
+        empty = {}
+        starts = [empty] * (n + 1)
         for j in range(n):
             i = j + 1
             while i <= n and (word := u[j:i]) in prefixes:
                 if word in unigram_counts:
-                    starts[i][j] = word
+                    if starts[i] is empty:
+                        starts[i] = {j: word}
+                    else:
+                        starts[i][j] = word
                 i += 1
-        acc = []
-        spelled = [acc]
-        for ch in u:
-            log_i = char_logs[ch]
-            acc = [value - log_i for value in acc]
-            acc.append(sigma_head - log_i)
-            spelled.append(acc)
-        return spelled, starts
+        return starts, [char_logs[ch] for ch in u], sigma_head
 
     bigram_counts = tables.bigrams
     denom2 = len(bigram_counts) + tables.s2
@@ -232,23 +232,61 @@ def word_score(tables: CountTables, context, word: str, order: int) -> float:
 class UtteranceScorer:
     """One utterance's view of the tables' shared back-off chain.
 
-    `spelled` and `starts` are the chain's substrings(u): spelled[i][j] is
-    u[j:i]'s spelling score before the escape term, so a word outside the
-    lexicon costs spelled[i][j] - escapes[0], built one end position at a
-    time in O(n^2) float subtractions; starts[i] maps each start of a
-    lexicon word ending at i to that word, found by lookups along lexicon
-    prefixes only.  The search reads them and scores lexicon words with
-    the chain's uni, bi, tri and `escapes`, the same chain word_score
-    reads, so every score is bit-identical to the equivalent word_score
-    call.  `gaps` are the chain's, and grow = 1 + (n + 8) 2^-50 is the
-    searches' relative rounding margin for this utterance's n.  The scorer
-    builds no chain of its own, and the tables must not change while it
-    lives.
+    A word u[t:i] outside the lexicon costs its spelling score less
+    escapes[0].  The scorer spells those scores only where a search asks,
+    each bit-identical to word_score's however it is reached, so memory
+    follows the cells a search reads instead of the n(n+1)/2 substrings.
+    columns() yields column i's window for i = 1, ..., n: window[i - t] is
+    u[t:i]'s score for the starts t nearest i, window[0] the head h, the
+    empty word's.  Each window is the one before, each score less
+    logs[i-1], with h put in front, so a search may trim a window in place
+    (del window[k + 1:] keeps the k starts nearest i) before the next is
+    built from it; reading past its end raises IndexError.  widen(window,
+    t, i) extends column i's window leftwards to start t, spelling each new
+    score from scratch with spell(t, i), which subtracts the same terms in
+    the same order, and returns t's.  whole(i) is u[:i]'s score, for a
+    window that no longer holds start 0: the first call spells every
+    prefix at once, in n subtractions.
+
+    starts[i] maps each start of a lexicon word ending at i to that word,
+    found by lookups along lexicon prefixes only.  The search scores
+    lexicon words with the chain's uni, bi, tri and `escapes`, the chain
+    word_score reads.  `gaps` are the chain's, and grow = 1 + (n + 8) 2^-50
+    is the searches' relative rounding margin for this utterance's n.  The
+    scorer builds no chain of its own, and the tables must not change
+    while it lives.
     """
 
-    __slots__ = ("spelled", "starts", "escapes", "gaps", "grow", "uni", "bi", "tri")
+    __slots__ = ("starts", "logs", "head", "wholes", "escapes", "gaps", "grow", "uni", "bi", "tri")
 
     def __init__(self, tables: CountTables, u: str):
         self.uni, self.bi, self.tri, substrings, self.escapes, self.gaps = _chain(tables)
-        self.spelled, self.starts = substrings(u)
+        self.starts, self.logs, self.head = substrings(u)
+        self.wholes = None
         self.grow = 1.0 + (len(u) + 8) * 2.0 ** -50
+
+    def columns(self):
+        head = self.head
+        window = [head]
+        for log_i in self.logs:
+            window = [value - log_i for value in window]
+            window.insert(0, head)
+            yield window
+
+    def spell(self, t: int, i: int) -> float:
+        return reduce(sub, self.logs[t:i], self.head)
+
+    def widen(self, window: list, t: int, i: int) -> float:
+        spell = self.spell
+        window.extend([spell(s, i) for s in range(i - len(window), t - 1, -1)])
+        return window[-1]
+
+    def whole(self, i: int) -> float:
+        wholes = self.wholes
+        if wholes is None:
+            whole = self.head
+            wholes = self.wholes = [whole]
+            for log_i in self.logs:
+                whole -= log_i
+                wholes.append(whole)
+        return wholes[i]

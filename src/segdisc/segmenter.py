@@ -28,10 +28,10 @@ a dense search over all histories computes.
 
 Each column i scans its novel cells from the right and stops at the first
 start j where either of two strict tests holds, so no start it skips could
-win or tie.  The cost test: the cost alone, spelled[i][j] less the escape
-terms, exceeds the running minimum of the column's novel cells; the cost
-only grows leftwards, as rounding is monotone and each phoneme term is
->= 0, and no history scores below 0.  The bar test: the cell exceeds
+win or tie.  The cost test: the cost alone, u[j:i]'s spelling score less
+the escape terms, exceeds the running minimum of the column's novel cells;
+the cost only grows leftwards, as rounding is monotone and each phoneme
+term is >= 0, and no history scores below 0.  The bar test: the cell exceeds
 (minimum + g) * grow.  The gap g is what merging two adjacent novel words
 saves at least: h - e1, h - e1 - e2 and h - e1 - e2 - e3 at orders 1, 2
 and 3, with h = -ln(f#/(1 - f#)) > 0 (f# < 1/2 in every mode) and each
@@ -52,8 +52,14 @@ size.  Each side sums at most n + 4 terms, B counted as one, so the two
 sides, g and the bar lose at most (2n + 17) 2^-53 relative, which
 grow = 1 + (n + 8) 2^-50 covers for any score and any n below 2^45.
 
-Only lexicon cells are stored, one dict per column, so memory beyond them
-and the scorer's n^2/2 spelling scores is O(n); the path walk recomputes a
+Only lexicon cells are stored, one dict per column, and the columns'
+spelling windows (`UtteranceScorer.columns`), each column's at orders 2
+and 3: a scan that stops trims its window to the starts it reached and
+three more, as the next column's scan often goes a start or two further,
+so on a line of lexicon words memory is O(n).  No window up to column
+_SHORT is trimmed: on corpus-length utterances the trim and the spelling
+from scratch of a start a later scan reaches again cost more than the
+subtractions they save.  The path walk recomputes a
 novel cell, skipped or not, with the forward pass's own expression.  A
 lexicon cell costs O(1 + k) for the k lexicon words ending where it
 starts, plus at order 3 the splits stored for each that forms a seen
@@ -66,14 +72,24 @@ one word survives.  Order 1 keeps the leftmost minimum with `<=` from the
 right.  Orders 2 and 3 store no back-pointers: `_walk_back` takes, from
 the end, the first start of the word before that reaches the cell's
 score, rounding near-ties included.  It tests each lexicon start with its
-own bi or tri term.  Every other start adds one shared term to a reading
-whose best value the forward pass stored, so by the monotone rounding
-above they are scanned, from the left up to the first lexicon start that
-reached the score, only when that best value plus the term reaches it.
-At order 3 the first word read alone is one of them when it is outside
-the lexicon (a lexicon one may form a seen bigram, with its own term); as
-fl(min(a, b) + c) = min(fl(a + c), fl(b + c)), one bound covers it and
-novel[j].
+own bi or tri term.  Every other start adds one shared term c to a
+reading whose best value the forward pass stored, so by the monotone
+rounding above they are scanned only when that best value plus c reaches
+the score T.  At order 3 the first word read alone is one of them when it
+is outside the lexicon (a lexicon one may form a seen bigram, with its own
+term); as fl(min(a, b) + c) = min(fl(a + c), fl(b + c)), one bound covers
+it and novel[j].  The one-word reading, the leftmost start, is tested
+first.  Where the word's window holds every start, the rest are scanned
+from the left up to the first lexicon start that reached T.  Where a scan
+trimmed it, a start left of it costs spelling from scratch, so they are
+scanned from there leftwards, keeping the last to reach T, down to a start
+s that shows none further left reaches T.  The floor test:
+fl(floor(s) + c) > T, where floor(s), the spelling score less the escape
+terms (plus the word's own term at order 3), is at most the cell and never
+falls leftwards.  The bar test: the cell plus c
+exceeds (T + g) * grow where both guards above hold; each cell to its
+left is at least s's late reading less g, and each side sums at most
+n + 6 terms, c and T counted as one, which grow still covers.
 """
 
 from __future__ import annotations
@@ -86,6 +102,8 @@ from .estimator import UtteranceScorer, check_order
 from .tables import CountTables, PhonemeMode
 
 _INF = math.inf
+# no window up to this column is trimmed (module docstring)
+_SHORT = 16
 
 
 @dataclass(frozen=True)
@@ -170,24 +188,31 @@ def segment(tables: CountTables, u: str, cfg: LearnerConfig) -> tuple[Segmentati
 
 def _search_unigram(scorer, u, limit):
     n = len(u)
-    uni, spelled, starts, escape1 = scorer.uni, scorer.spelled, scorer.starts, scorer.escapes[0]
-    gap, grow = scorer.gaps[0], scorer.grow
+    uni, starts, escape1 = scorer.uni, scorer.starts, scorer.escapes[0]
+    gap, grow, widen = scorer.gaps[0], scorer.grow, scorer.widen
     best = [0.0] * (n + 1)
     back = [0] * (n + 1)
-    for i in range(1, n + 1):
-        col, here, lim = spelled[i], starts[i], limit[i]
+    for i, col in enumerate(scorer.columns(), 1):
+        here, lim = starts[i], limit[i]
         score, split, bar = _INF, 0, _INF  # an infeasible prefix scores +inf, never wins
         # the novel cells from the right: <= keeps the leftmost minimum
         for j in range(lim - 1, -1, -1):
             if j not in here:
-                cost = col[j] - escape1  # uni(u[j:i])
+                try:
+                    cost = col[i - j] - escape1  # uni(u[j:i])
+                except IndexError:
+                    cost = widen(col, j, i) - escape1
                 if cost > score:
+                    if i > _SHORT:  # keep the starts the scan reached, and three more
+                        del col[i - j + 4:]
                     break
                 cand = best[j] + cost
                 if cand <= score:
                     score, split = cand, j
                     bar = (cand + gap) * grow
                 elif cand > bar and not starts[j] and limit[j] == j:
+                    if i > _SHORT:
+                        del col[i - j + 4:]
                     break
         for j, word in here.items():
             if j >= lim:
@@ -206,32 +231,44 @@ def _search_unigram(scorer, u, limit):
 
 def _search_bigram(scorer, u, limit):
     n = len(u)
-    uni, bi, spelled, starts = scorer.uni, scorer.bi, scorer.spelled, scorer.starts
+    uni, bi, starts, widen = scorer.uni, scorer.bi, scorer.starts, scorer.widen
     escape1, escape2, _ = scorer.escapes
-    gap, grow = scorer.gaps[1], scorer.grow
+    gap, grow, whole = scorer.gaps[1], scorer.grow, scorer.whole
     # cells[i][j]: best score for u[:i] whose last word is the lexicon word
     # u[j:i], for each j < limit[i] in starts[i], in the same order; j == 0
     # is the single-word reading, scored as a first word.  novel[i]: the best
     # reading of u[:i] whose last word is outside the lexicon, which all
-    # score the next word alike; ending[i]: the best reading of u[:i].
-    cells = [{}]
+    # score the next word alike; ending[i]: the best reading of u[:i];
+    # spelled[i]: column i's window.
+    cells, spelled = [{}], [None] * (n + 1)
     novel, ending = [_INF] * (n + 1), [_INF] * (n + 1)
-    for i in range(1, n + 1):
-        col, here, lim = spelled[i], starts[i], limit[i]
+    for i, col in enumerate(scorer.columns(), 1):
+        here, lim = starts[i], limit[i]
         shared = bar = _INF
         for j in range(lim - 1, 0, -1):
             if j not in here:
-                base = col[j] - escape1 - escape2  # bi("", u[j:i])
+                try:
+                    base = col[i - j] - escape1 - escape2  # bi("", u[j:i])
+                except IndexError:
+                    base = widen(col, j, i) - escape1 - escape2
                 if base > shared:
+                    if i > _SHORT:
+                        del col[i - j + 4:]
                     break
                 score = ending[j] + base
                 if score < shared:
                     shared = score
                     bar = (score + gap) * grow
                 elif score > bar and not starts[j] and limit[j] == j:
+                    if i > _SHORT:
+                        del col[i - j + 4:]
                     break
+        spelled[i] = col
         if lim and 0 not in here:
-            score = col[0] - escape1  # uni(u[:i])
+            try:
+                score = col[i] - escape1  # uni(u[:i])
+            except IndexError:
+                score = whole(i) - escape1
             if score < shared:
                 shared = score
         top = shared
@@ -252,30 +289,35 @@ def _search_bigram(scorer, u, limit):
         novel[i] = shared
         ending[i] = top
 
-    walk = cells, novel, ending, spelled, uni, bi, escape1, escape2
+    walk = cells, novel, ending, spelled, whole, widen, uni, bi, escape1, escape2
 
     def step(j, i, word, v):
-        cells, novel, ending, spelled, uni, bi, escape1, escape2 = walk
+        cells, novel, ending, spelled, whole, widen, uni, bi, escape1, escape2 = walk
         here, col = cells[j], spelled[j]
 
         def value(t):
             # a cell (t, j) not stored is recomputed as a novel cell
             if t in here:
                 return here[t]
-            return ending[t] + (col[t] - escape1 - escape2) if t else col[0] - escape1
+            try:
+                spell = col[j - t]
+            except IndexError:
+                spell = widen(col, t, j) if t else whole(j)
+            return ending[t] + (spell - escape1 - escape2) if t else spell - escape1
+        floor = (lambda t: col[j - t] - escape1 - escape2) if len(col) < j else None
         if word is None:
-            return value, lambda prev: 0.0, 0.0, novel[j]
+            return value, floor, lambda prev: 0.0, 0.0, novel[j]
         base = uni(word) - escape2  # bi("", word)
-        return value, lambda prev: bi(prev, word), base, novel[j] + base
+        return value, floor, lambda prev: bi(prev, word), base, novel[j] + base
 
-    return _walk_back(u, ending[n], starts, step)
+    return _walk_back(u, ending[n], starts, limit, gap, grow, step)
 
 
 def _search_trigram(scorer, u, limit, bigram_counts):
     n = len(u)
     uni, bi, tri, starts = scorer.uni, scorer.bi, scorer.tri, scorer.starts
-    spelled, (escape1, escape2, escape3) = scorer.spelled, scorer.escapes
-    gap, grow = scorer.gaps[2], scorer.grow
+    widen, (escape1, escape2, escape3) = scorer.widen, scorer.escapes
+    gap, grow, whole = scorer.gaps[2], scorer.grow, scorer.whole
     # Pair (j, i) stands for the readings of u[:i] in two or more words
     # whose last word is u[j:i].  For a lexicon word u[j:i], j < limit[i],
     # cells[i][j] = (best, rest, split): best is the best of those readings;
@@ -284,16 +326,22 @@ def _search_trigram(scorer, u, limit, bigram_counts):
     # other k, after which every next word v adds tri("", u[j:i], v).
     # novel[i] is the best pair (j, i), j >= 1, whose last word u[j:i] is
     # outside the lexicon; ending[i] is the best pair (j, i) over every
-    # j >= 1; firsts[i] scores u[:i] as the first word.
-    cells = [{}]
+    # j >= 1; firsts[i] scores u[:i] as the first word; spelled[i]: column
+    # i's window.
+    cells, spelled = [{}], [None] * (n + 1)
     novel, ending, firsts = [_INF] * (n + 1), [_INF] * (n + 1), [_INF] * (n + 1)
-    for i in range(1, n + 1):
-        col, here, lim = spelled[i], starts[i], limit[i]
+    for i, col in enumerate(scorer.columns(), 1):
+        here, lim = starts[i], limit[i]
         shared = bar = _INF
         for j in range(lim - 1, 0, -1):
             if j not in here:
-                base = col[j] - escape1 - escape2  # bi("", u[j:i])
+                try:
+                    base = col[i - j] - escape1 - escape2  # bi("", u[j:i])
+                except IndexError:
+                    base = widen(col, j, i) - escape1 - escape2
                 if base > shared:
+                    if i > _SHORT:
+                        del col[i - j + 4:]
                     break
                 added = base - escape3  # tri("", "", u[j:i])
                 # base after the first word alone, added after two or more
@@ -304,7 +352,10 @@ def _search_trigram(scorer, u, limit, bigram_counts):
                     shared = top
                     bar = (top + gap) * grow
                 elif late > bar and not starts[j] and limit[j] == j:
+                    if i > _SHORT:
+                        del col[i - j + 4:]
                     break
+        spelled[i] = col
         overall = shared
         lexical = {}
         for j, word in here.items():
@@ -346,13 +397,19 @@ def _search_trigram(scorer, u, limit, bigram_counts):
         novel[i] = shared
         ending[i] = overall
         if lim:
-            firsts[i] = uni(here[0]) if 0 in here else col[0] - escape1
+            if 0 in here:
+                firsts[i] = uni(here[0])
+            else:
+                try:
+                    firsts[i] = col[i] - escape1
+                except IndexError:
+                    firsts[i] = whole(i) - escape1
 
-    walk = (cells, novel, ending, firsts, spelled, starts, uni, tri,
+    walk = (cells, novel, ending, firsts, spelled, widen, starts, uni, tri,
             escape1, escape2, escape3, bigram_counts)
 
     def step(j, i, word, v):
-        (cells, novel, ending, firsts, spelled, starts, uni, tri,
+        (cells, novel, ending, firsts, spelled, widen, starts, uni, tri,
          escape1, escape2, escape3, bigram_counts) = walk
         here, col = cells[j], spelled[j]
         # for the last word (None) value(t) is the reading ending in u[t:j]
@@ -374,21 +431,29 @@ def _search_trigram(scorer, u, limit, bigram_counts):
                 return opening
             if t in here:
                 return here[t][0] + added
-            spell = col[t] - escape1 - escape2
+            try:
+                spell = col[j - t] - escape1 - escape2
+            except IndexError:
+                spell = widen(col, t, j) - escape1 - escape2
             return min(ending[t] + (spell - escape3), firsts[t] + spell) + added
-        return value, (lambda prev: tri(prev, word, v) if seen else other), other, others + other
+        floor = (lambda t: col[j - t] - escape1 - escape2 + added) if len(col) < j else None
+        return (value, floor, (lambda prev: tri(prev, word, v) if seen else other), other,
+                others + other)
 
     score = firsts[n] if firsts[n] < ending[n] else ending[n]
-    return _walk_back(u, score, starts, step)
+    return _walk_back(u, score, starts, limit, gap, grow, step)
 
 
-def _walk_back(u, score, starts, step):
+def _walk_back(u, score, starts, limit, gap, grow, step):
     """The winning path's words and the best score, ties broken as above.
 
     step(j, i, word, v) gives, for the word u[j:i] with next word v, (value,
-    term, shared, bound): a lexicon start t with word prev reaches
+    floor, term, shared, bound): a lexicon start t with word prev reaches
     value(t) + term(prev), any other start value(t) + shared, bound is the
     least of those, and the walk moves on to value(k) for the chosen k.
+    floor is None where column j's window holds every start t >= 1; else
+    floor(t), limit, gap and grow are the stop tests' terms, and floor(t)
+    is asked only after value(t), which widens the window to t.
     step(n, None, None, None) picks the last word, with terms of 0.0.
     value(t) recomputes any cell the forward pass did not store, skipped
     ones too, with the pass's own expression.  For t at or past the start
@@ -404,7 +469,7 @@ def _walk_back(u, score, starts, step):
     i = word = v = None
     out = []
     while j:
-        value, term, shared, bound = step(j, i, word, v)
+        value, floor, term, shared, bound = step(j, i, word, v)
         before = starts[j]
         k = j
         for t, prev in before.items():
@@ -412,10 +477,22 @@ def _walk_back(u, score, starts, step):
                 k = t
                 break
         if bound == target:
-            t = 0
-            while t < k and (t in before or value(t) + shared != target):
-                t += 1
-            k = t
+            if 0 not in before and value(0) + shared == target:
+                k = 0
+            elif floor:  # a trimmed window: from the right, down to a stop test
+                for t in range(k - 1, 0, -1):
+                    if t not in before:
+                        reach = value(t) + shared
+                        if reach == target:
+                            k = t
+                        elif (reach > (target + gap) * grow and not starts[t] and limit[t] == t
+                              or floor(t) + shared > target):
+                            break
+            else:
+                for t in range(1, k):
+                    if t not in before and value(t) + shared == target:
+                        k = t
+                        break
         if k == j:
             raise RuntimeError(f"no start of a word ending at {j} reaches {target!r}")
         target = value(k)

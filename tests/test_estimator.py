@@ -296,21 +296,44 @@ def spelled_alone(tables, word):
 
 
 def assert_pass_is_bit_identical(tables, u):
-    """Every spelled cell of the scorer outside the lexicon, less the
-    unigram escape term, equals by float.hex word_score's and the word
-    spelled on its own, and starts[i] maps exactly the j whose u[j:i] is a
-    lexicon word, in increasing order, to that word."""
+    """Every spelling score the scorer can give a search, less the unigram
+    escape term, equals by float.hex word_score's and the word spelled on
+    its own wherever the word is outside the lexicon: each window's cells,
+    cells spelled from scratch left of a trimmed window, once and again
+    after a second widening, and the whole-word cells.  Windows are trimmed
+    and widened as the searches do, so later columns extend cells of both
+    kinds.  starts[i] maps exactly the j whose u[j:i] is a lexicon word, in
+    increasing order, to that word."""
     scorer = UtteranceScorer(tables, u)
     escape1 = scorer.escapes[0]
-    for i in range(1, len(u) + 1):
-        assert len(scorer.spelled[i]) == i, (u, i)
-        for j in range(i):
-            word = u[j:i]
-            if word in tables.unigrams:
-                continue
-            got = (scorer.spelled[i][j] - escape1).hex()
+
+    def check(score, j, i):
+        word = u[j:i]
+        if word not in tables.unigrams:
+            got = (score - escape1).hex()
             assert got == word_score(tables, (), word, 1).hex(), (u, j, i)
             assert got == spelled_alone(tables, word).hex(), (u, j, i)
+
+    def check_window(window, i):
+        assert window[0] == scorer.head, (u, i)
+        for j in range(i + 1 - len(window), i):
+            check(window[i - j], j, i)
+
+    for i, window in enumerate(scorer.columns(), 1):
+        check_window(window, i)
+        check(scorer.whole(i), 0, i)
+        # trim to the starts nearest i (none every third column), then widen
+        # to i // 3 and again to 0, spelling each new start from scratch
+        keep = (i + 1) // 2 if i % 3 else 0
+        del window[keep + 1:]
+        for t in (i // 3, 0):
+            if t < i + 1 - len(window):
+                check(scorer.widen(window, t, i), t, i)
+                assert len(window) == i - t + 1, (u, t, i)
+                check_window(window, i)
+        # odd columns hand the next a trimmed window, even ones a widened one
+        if i % 2:
+            del window[keep + 1:]
         lexical = [(j, u[j:i]) for j in range(i) if u[j:i] in tables.unigrams]
         assert list(scorer.starts[i].items()) == lexical, (u, i)
     assert scorer.starts[0] == {}

@@ -477,7 +477,7 @@ def test_walk_back_raises_when_no_start_reaches_the_target():
     # score; that must fail at once, within a 1 s alarm, instead of looping
     # forever on empty words
     def step(j, i, word, v):
-        return (lambda t: 1.0), (lambda prev: 0.0), 0.0, 2.0
+        return (lambda t: 1.0), None, (lambda prev: 0.0), 0.0, 2.0
 
     def expire(*_):
         raise TimeoutError("the walk ran past its 1 s deadline")
@@ -485,44 +485,78 @@ def test_walk_back_raises_when_no_start_reaches_the_target():
     signal.setitimer(signal.ITIMER_REAL, 1.0)
     try:
         with pytest.raises(RuntimeError, match="ending at 2 reaches 0.5"):
-            _walk_back("ab", 0.5, [{}, {}, {}], step)
+            _walk_back("ab", 0.5, [{}, {}, {}], range(3), 0.0, 1.0, step)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
 
 
-class CountingColumn(list):
-    reads = 0
-
-    def __getitem__(self, index):
-        CountingColumn.reads += 1
-        return list.__getitem__(self, index)
-
-
 class CountingScorer(UtteranceScorer):
-    __slots__ = ()
+    """Counts the spelling subtractions of every window, of every score
+    spelled from scratch and of the whole-word scores, in `subtractions`."""
 
-    def __init__(self, tables, u):
-        super().__init__(tables, u)
-        self.spelled = [CountingColumn(col) for col in self.spelled]
+    __slots__ = ()
+    subtractions = 0
+
+    def columns(self):
+        for window in super().columns():
+            CountingScorer.subtractions += len(window) - 1
+            yield window
+
+    def spell(self, t, i):
+        CountingScorer.subtractions += i - t
+        return super().spell(t, i)
+
+    def whole(self, i):
+        if self.wholes is None:
+            CountingScorer.subtractions += len(self.logs)
+        return super().whole(i)
+
+
+def trained_on_synthetic308():
+    """Tables trained on every line of synthetic308.txt, and the lines."""
+    lines = (ROOT / "tests" / "fixtures" / "synthetic308.txt").read_text().splitlines()
+    t = CountTables()
+    for line in lines:
+        train_utterance(t, line.split(), LearnerConfig())
+    return t, lines
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_novel_scan_reads_few_cells_per_column_on_a_line_of_lexicon_words(order, monkeypatch):
     # each column's scan stops where one longer novel word beats every start
     # to its left, so on a line of lexicon words it reads a few cells per
-    # column at any length; the cost cutoff alone read ~0.2 n per column
-    lines = (ROOT / "tests" / "fixtures" / "synthetic308.txt").read_text().splitlines()
-    t = CountTables()
-    for line in lines:
-        train_utterance(t, line.split(), LearnerConfig())
+    # column at any length, and the windows spell only those: a few
+    # subtractions per phoneme, where the whole spelling matrix took n/2
+    t, lines = trained_on_synthetic308()
     text = "".join(lines).replace(" ", "")
     monkeypatch.setattr(segmenter, "UtteranceScorer", CountingScorer)
     for n in (200, 800):
-        CountingColumn.reads = 0
-        seg, _ = segment(t, text[:n], LearnerConfig(order=order))
+        CountingScorer.subtractions = 0
+        seg, _ = segment(t, text[:n], LearnerConfig(order))
         assert "".join(seg.words) == text[:n]
-        assert CountingColumn.reads <= 8 * n, (n, CountingColumn.reads / n)
+        assert n <= CountingScorer.subtractions <= 16 * n, (n, CountingScorer.subtractions / n)
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_walk_spells_few_cells_from_scratch(order, monkeypatch):
+    # a line of lexicon words with a random novel word every 146 phonemes:
+    # the walk scans the starts of the word before each of those, and must
+    # not spell the starts left of a window from scratch one by one (a walk
+    # without its stop tests took ~1,480 subtractions per phoneme here); it
+    # stops where no start further left can reach the score
+    t, lines = trained_on_synthetic308()
+    text = "".join(lines).replace(" ", "")
+    rng = random.Random(146)
+    symbols = default_inventory().symbols
+    u = "".join(text[k:k + 140] + "".join(rng.choices(symbols, k=6))
+                for k in range(0, 1000, 140))[:1000]
+    monkeypatch.setattr(segmenter, "UtteranceScorer", CountingScorer)
+    CountingScorer.subtractions = 0
+    seg, _ = segment(t, u, LearnerConfig(order))
+    assert "".join(seg.words) == u
+    assert sum(w not in t.unigrams for w in seg.words) >= 5
+    assert len(u) <= CountingScorer.subtractions <= 40 * len(u), CountingScorer.subtractions
 
 
 @pytest.mark.parametrize("search, cells", [(_search_unigram, ()), (_search_bigram, ("walk",)),
@@ -536,23 +570,56 @@ def test_searches_keep_their_tables_out_of_cell_variables(search, cells):
     assert search.__code__.co_cellvars == cells
 
 
-@pytest.mark.parametrize("order", [1, 2, 3])
-def test_long_line_memory_per_n_squared(order):
-    # the searches store lexicon cells only, so one long line costs little
-    # more than the scorer's n^2/2 spelling scores at every order; dense
-    # per-cell matrices took ~37 and ~54 bytes per n^2 at orders 2 and 3
-    lines = (ROOT / "tests" / "fixtures" / "synthetic308.txt").read_text().splitlines()
-    t = CountTables()
-    for line in lines:
-        train_utterance(t, line.split(), LearnerConfig())
-    stress = "".join(lines[300:]).replace(" ", "")  # the fixture's stress utterances
-    u = (stress * 2)[:300]
-    cfg = LearnerConfig(order=order)
+def segment_peak(t, u, order):
+    """tracemalloc's peak over one segment call, which must keep u whole."""
     tracemalloc.start()
     try:
-        seg, _ = segment(t, u, cfg)
+        seg, _ = segment(t, u, LearnerConfig(order=order))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert "".join(seg.words) == u
+    return peak
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_long_line_memory_per_n_squared(order):
+    # on a line of random phonemes a column's novel cells lie within a gap of
+    # each other, so the scans read, and the windows keep, much of every
+    # column; the searches store lexicon cells only, so one long line costs
+    # little more than those spelling scores at every order.  Dense per-cell
+    # matrices took ~37 and ~54 bytes per n^2 at orders 2 and 3
+    t, _ = trained_on_synthetic308()
+    u = "".join(random.Random(300).choices(default_inventory().symbols, k=300))
+    peak = segment_peak(t, u, order)
     assert peak <= 24 * len(u) ** 2, peak / len(u) ** 2
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_random_line_spells_no_more_than_a_spelling_matrix(order, monkeypatch):
+    # on a line of random phonemes the scans read much of every column, so
+    # the windows save little; a start left of a trimmed window is spelled
+    # from scratch, and the walk must not do so for every start of a word
+    # whose score the one-word reading reaches (it took 1.14 n(n+1)/2 at
+    # order 3 here before the walk tested that start first)
+    t, _ = trained_on_synthetic308()
+    u = "".join(random.Random(300).choices(default_inventory().symbols, k=300))
+    monkeypatch.setattr(segmenter, "UtteranceScorer", CountingScorer)
+    CountingScorer.subtractions = 0
+    seg, _ = segment(t, u, LearnerConfig(order))
+    n = len(u)
+    assert "".join(seg.words) == u
+    assert CountingScorer.subtractions <= n * (n + 1) // 2 + 4 * n, CountingScorer.subtractions
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_long_line_memory_linear_on_lexicon_words(order):
+    # on a line of lexicon words each column's window holds the few cells
+    # its scan reads, so memory grows about linearly: 8 times the length
+    # takes ~8 times the peak (a spelling matrix took 64 times), ~250-870
+    # bytes per phoneme at orders 1-3 (tracemalloc, CPython 3.11)
+    t, lines = trained_on_synthetic308()
+    text = "".join(lines).replace(" ", "")
+    short, long = (segment_peak(t, text[:n], order) for n in (300, 2400))
+    assert long <= 16 * short, long / short
+    assert long <= 1500 * 2400, long / 2400
