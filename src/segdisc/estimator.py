@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import reduce
+from itertools import accumulate
 from operator import sub
 
 from .phoneme import SENTINEL
@@ -244,9 +245,9 @@ class UtteranceScorer:
     built from it; reading past its end raises IndexError.  widen(window,
     t, i) extends column i's window leftwards to start t, spelling each new
     score from scratch with spell(t, i), which subtracts the same terms in
-    the same order, and returns t's.  whole(i) is u[:i]'s score, for a
-    window that no longer holds start 0: the first call spells every
-    prefix at once, in n subtractions.
+    the same order, and returns t's.  wholes() lists u[:i]'s score for
+    i = 0, ..., n, spelled in n subtractions that are the same, in the
+    same order, as every window's start-0 cell.
 
     starts[i] maps each start of a lexicon word ending at i to that word,
     found by lookups along lexicon prefixes only.  The search scores
@@ -257,12 +258,11 @@ class UtteranceScorer:
     while it lives.
     """
 
-    __slots__ = ("starts", "logs", "head", "wholes", "escapes", "gaps", "grow", "uni", "bi", "tri")
+    __slots__ = ("starts", "logs", "head", "escapes", "gaps", "grow", "uni", "bi", "tri")
 
     def __init__(self, tables: CountTables, u: str):
         self.uni, self.bi, self.tri, substrings, self.escapes, self.gaps = _chain(tables)
         self.starts, self.logs, self.head = substrings(u)
-        self.wholes = None
         self.grow = 1.0 + (len(u) + 8) * 2.0 ** -50
 
     def columns(self):
@@ -281,12 +281,5 @@ class UtteranceScorer:
         window.extend([spell(s, i) for s in range(i - len(window), t - 1, -1)])
         return window[-1]
 
-    def whole(self, i: int) -> float:
-        wholes = self.wholes
-        if wholes is None:
-            whole = self.head
-            wholes = self.wholes = [whole]
-            for log_i in self.logs:
-                whole -= log_i
-                wholes.append(whole)
-        return wholes[i]
+    def wholes(self) -> list:
+        return list(accumulate(self.logs, sub, initial=self.head))

@@ -51,6 +51,8 @@ terms is within a factor (1 +- 2^-53)^m of its real value, whatever its
 size.  Each side sums at most n + 4 terms, B counted as one, so the two
 sides, g and the bar lose at most (2n + 17) 2^-53 relative, which
 grow = 1 + (n + 8) 2^-50 covers for any score and any n below 2^45.
+A cell that meets either test exceeds the minimum, so both are asked only
+where a cell fails the update.
 
 Only lexicon cells are stored, one dict per column, and the columns'
 spelling windows (`UtteranceScorer.columns`), each column's at orders 2
@@ -79,11 +81,10 @@ the score T.  At order 3 the first word read alone is one of them when it
 is outside the lexicon (a lexicon one may form a seen bigram, with its own
 term); as fl(min(a, b) + c) = min(fl(a + c), fl(b + c)), one bound covers
 it and novel[j].  The one-word reading, the leftmost start, is tested
-first.  Where the word's window holds every start, the rest are scanned
-from the left up to the first lexicon start that reached T.  Where a scan
-trimmed it, a start left of it costs spelling from scratch, so they are
-scanned from there leftwards, keeping the last to reach T, down to a start
-s that shows none further left reaches T.  The floor test:
+first.  The rest are scanned from the first lexicon start that reached T
+leftwards, keeping the last to reach T, down to a start s that shows none
+further left reaches T, so a start left of a trimmed window is seldom
+spelled from scratch.  The floor test:
 fl(floor(s) + c) > T, where floor(s), the spelling score less the escape
 terms (plus the word's own term at order 3), is at most the cell and never
 falls leftwards.  The bar test: the cell plus c
@@ -202,16 +203,12 @@ def _search_unigram(scorer, u, limit):
                     cost = col[i - j] - escape1  # uni(u[j:i])
                 except IndexError:
                     cost = widen(col, j, i) - escape1
-                if cost > score:
-                    if i > _SHORT:  # keep the starts the scan reached, and three more
-                        del col[i - j + 4:]
-                    break
                 cand = best[j] + cost
                 if cand <= score:
                     score, split = cand, j
                     bar = (cand + gap) * grow
-                elif cand > bar and not starts[j] and limit[j] == j:
-                    if i > _SHORT:
+                elif cost > score or cand > bar and not starts[j] and limit[j] == j:
+                    if i > _SHORT:  # keep the starts the scan reached, and three more
                         del col[i - j + 4:]
                     break
         for j, word in here.items():
@@ -233,7 +230,7 @@ def _search_bigram(scorer, u, limit):
     n = len(u)
     uni, bi, starts, widen = scorer.uni, scorer.bi, scorer.starts, scorer.widen
     escape1, escape2, _ = scorer.escapes
-    gap, grow, whole = scorer.gaps[1], scorer.grow, scorer.whole
+    gap, grow, wholes = scorer.gaps[1], scorer.grow, scorer.wholes()
     # cells[i][j]: best score for u[:i] whose last word is the lexicon word
     # u[j:i], for each j < limit[i] in starts[i], in the same order; j == 0
     # is the single-word reading, scored as a first word.  novel[i]: the best
@@ -251,24 +248,17 @@ def _search_bigram(scorer, u, limit):
                     base = col[i - j] - escape1 - escape2  # bi("", u[j:i])
                 except IndexError:
                     base = widen(col, j, i) - escape1 - escape2
-                if base > shared:
-                    if i > _SHORT:
-                        del col[i - j + 4:]
-                    break
                 score = ending[j] + base
                 if score < shared:
                     shared = score
                     bar = (score + gap) * grow
-                elif score > bar and not starts[j] and limit[j] == j:
+                elif base > shared or score > bar and not starts[j] and limit[j] == j:
                     if i > _SHORT:
                         del col[i - j + 4:]
                     break
         spelled[i] = col
         if lim and 0 not in here:
-            try:
-                score = col[i] - escape1  # uni(u[:i])
-            except IndexError:
-                score = whole(i) - escape1
+            score = wholes[i] - escape1  # uni(u[:i])
             if score < shared:
                 shared = score
         top = shared
@@ -289,10 +279,10 @@ def _search_bigram(scorer, u, limit):
         novel[i] = shared
         ending[i] = top
 
-    walk = cells, novel, ending, spelled, whole, widen, uni, bi, escape1, escape2
+    walk = cells, novel, ending, spelled, wholes, widen, uni, bi, escape1, escape2
 
     def step(j, i, word, v):
-        cells, novel, ending, spelled, whole, widen, uni, bi, escape1, escape2 = walk
+        cells, novel, ending, spelled, wholes, widen, uni, bi, escape1, escape2 = walk
         here, col = cells[j], spelled[j]
 
         def value(t):
@@ -300,11 +290,11 @@ def _search_bigram(scorer, u, limit):
             if t in here:
                 return here[t]
             try:
-                spell = col[j - t]
+                spell = col[j - t] if t else wholes[j]
             except IndexError:
-                spell = widen(col, t, j) if t else whole(j)
+                spell = widen(col, t, j)
             return ending[t] + (spell - escape1 - escape2) if t else spell - escape1
-        floor = (lambda t: col[j - t] - escape1 - escape2) if len(col) < j else None
+        floor = lambda t: col[j - t] - escape1 - escape2
         if word is None:
             return value, floor, lambda prev: 0.0, 0.0, novel[j]
         base = uni(word) - escape2  # bi("", word)
@@ -317,7 +307,7 @@ def _search_trigram(scorer, u, limit, bigram_counts):
     n = len(u)
     uni, bi, tri, starts = scorer.uni, scorer.bi, scorer.tri, scorer.starts
     widen, (escape1, escape2, escape3) = scorer.widen, scorer.escapes
-    gap, grow, whole = scorer.gaps[2], scorer.grow, scorer.whole
+    gap, grow, wholes = scorer.gaps[2], scorer.grow, scorer.wholes()
     # Pair (j, i) stands for the readings of u[:i] in two or more words
     # whose last word is u[j:i].  For a lexicon word u[j:i], j < limit[i],
     # cells[i][j] = (best, rest, split): best is the best of those readings;
@@ -339,10 +329,6 @@ def _search_trigram(scorer, u, limit, bigram_counts):
                     base = col[i - j] - escape1 - escape2  # bi("", u[j:i])
                 except IndexError:
                     base = widen(col, j, i) - escape1 - escape2
-                if base > shared:
-                    if i > _SHORT:
-                        del col[i - j + 4:]
-                    break
                 added = base - escape3  # tri("", "", u[j:i])
                 # base after the first word alone, added after two or more
                 late = ending[j] + added
@@ -351,7 +337,7 @@ def _search_trigram(scorer, u, limit, bigram_counts):
                 if top < shared:
                     shared = top
                     bar = (top + gap) * grow
-                elif late > bar and not starts[j] and limit[j] == j:
+                elif base > shared or late > bar and not starts[j] and limit[j] == j:
                     if i > _SHORT:
                         del col[i - j + 4:]
                     break
@@ -400,10 +386,7 @@ def _search_trigram(scorer, u, limit, bigram_counts):
             if 0 in here:
                 firsts[i] = uni(here[0])
             else:
-                try:
-                    firsts[i] = col[i] - escape1
-                except IndexError:
-                    firsts[i] = whole(i) - escape1
+                firsts[i] = wholes[i] - escape1
 
     walk = (cells, novel, ending, firsts, spelled, widen, starts, uni, tri,
             escape1, escape2, escape3, bigram_counts)
@@ -436,7 +419,7 @@ def _search_trigram(scorer, u, limit, bigram_counts):
             except IndexError:
                 spell = widen(col, t, j) - escape1 - escape2
             return min(ending[t] + (spell - escape3), firsts[t] + spell) + added
-        floor = (lambda t: col[j - t] - escape1 - escape2 + added) if len(col) < j else None
+        floor = lambda t: col[j - t] - escape1 - escape2 + added
         return (value, floor, (lambda prev: tri(prev, word, v) if seen else other), other,
                 others + other)
 
@@ -451,9 +434,9 @@ def _walk_back(u, score, starts, limit, gap, grow, step):
     floor, term, shared, bound): a lexicon start t with word prev reaches
     value(t) + term(prev), any other start value(t) + shared, bound is the
     least of those, and the walk moves on to value(k) for the chosen k.
-    floor is None where column j's window holds every start t >= 1; else
-    floor(t), limit, gap and grow are the stop tests' terms, and floor(t)
-    is asked only after value(t), which widens the window to t.
+    floor(t), limit, gap and grow are the stop tests' terms, used at every
+    word whatever its window holds; floor(t) is asked only after value(t),
+    which widens the window to t.
     step(n, None, None, None) picks the last word, with terms of 0.0.
     value(t) recomputes any cell the forward pass did not store, skipped
     ones too, with the pass's own expression.  For t at or past the start
@@ -479,7 +462,7 @@ def _walk_back(u, score, starts, limit, gap, grow, step):
         if bound == target:
             if 0 not in before and value(0) + shared == target:
                 k = 0
-            elif floor:  # a trimmed window: from the right, down to a stop test
+            else:  # from the right, down to a stop test
                 for t in range(k - 1, 0, -1):
                     if t not in before:
                         reach = value(t) + shared
@@ -488,11 +471,6 @@ def _walk_back(u, score, starts, limit, gap, grow, step):
                         elif (reach > (target + gap) * grow and not starts[t] and limit[t] == t
                               or floor(t) + shared > target):
                             break
-            else:
-                for t in range(1, k):
-                    if t not in before and value(t) + shared == target:
-                        k = t
-                        break
         if k == j:
             raise RuntimeError(f"no start of a word ending at {j} reaches {target!r}")
         target = value(k)

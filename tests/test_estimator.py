@@ -302,10 +302,15 @@ def assert_pass_is_bit_identical(tables, u):
     cells spelled from scratch left of a trimmed window, once and again
     after a second widening, and the whole-word cells.  Windows are trimmed
     and widened as the searches do, so later columns extend cells of both
-    kinds.  starts[i] maps exactly the j whose u[j:i] is a lexicon word, in
+    kinds.  wholes() holds n + 1 cells, each bit for bit u[:i]'s window
+    cell, or its spelling from scratch where a trimmed window lost start 0.
+    starts[i] maps exactly the j whose u[j:i] is a lexicon word, in
     increasing order, to that word."""
     scorer = UtteranceScorer(tables, u)
     escape1 = scorer.escapes[0]
+    wholes = scorer.wholes()
+    assert len(wholes) == len(u) + 1, u
+    assert wholes[0].hex() == scorer.head.hex(), u
 
     def check(score, j, i):
         word = u[j:i]
@@ -321,7 +326,9 @@ def assert_pass_is_bit_identical(tables, u):
 
     for i, window in enumerate(scorer.columns(), 1):
         check_window(window, i)
-        check(scorer.whole(i), 0, i)
+        check(wholes[i], 0, i)
+        whole = window[i] if len(window) > i else scorer.spell(0, i)
+        assert wholes[i].hex() == whole.hex(), (u, i)
         # trim to the starts nearest i (none every third column), then widen
         # to i // 3 and again to 0, spelling each new start from scratch
         keep = (i + 1) // 2 if i % 3 else 0

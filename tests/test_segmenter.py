@@ -475,17 +475,18 @@ def test_order1_scan_bar_keeps_its_rounding_margin():
 def test_walk_back_raises_when_no_start_reaches_the_target():
     # a wrong bound leaves the walk with no start that reaches the cell's
     # score; that must fail at once, within a 1 s alarm, instead of looping
-    # forever on empty words
-    def step(j, i, word, v):
-        return (lambda t: 1.0), None, (lambda prev: 0.0), 0.0, 2.0
-
+    # forever on empty words.  A bound equal to the score sends the walk
+    # into its scan of the other starts, which must raise too.
     def expire(*_):
         raise TimeoutError("the walk ran past its 1 s deadline")
     previous = signal.signal(signal.SIGALRM, expire)
     signal.setitimer(signal.ITIMER_REAL, 1.0)
     try:
-        with pytest.raises(RuntimeError, match="ending at 2 reaches 0.5"):
-            _walk_back("ab", 0.5, [{}, {}, {}], range(3), 0.0, 1.0, step)
+        for bound in (2.0, 0.5):
+            def step(j, i, word, v, bound=bound):
+                return (lambda t: 1.0), (lambda t: 1.0), (lambda prev: 0.0), 0.0, bound
+            with pytest.raises(RuntimeError, match="ending at 2 reaches 0.5"):
+                _walk_back("ab", 0.5, [{}, {}, {}], range(3), 0.0, 1.0, step)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
@@ -507,10 +508,9 @@ class CountingScorer(UtteranceScorer):
         CountingScorer.subtractions += i - t
         return super().spell(t, i)
 
-    def whole(self, i):
-        if self.wholes is None:
-            CountingScorer.subtractions += len(self.logs)
-        return super().whole(i)
+    def wholes(self):
+        CountingScorer.subtractions += len(self.logs)
+        return super().wholes()
 
 
 def trained_on_synthetic308():
@@ -536,6 +536,22 @@ def test_novel_scan_reads_few_cells_per_column_on_a_line_of_lexicon_words(order,
         seg, _ = segment(t, text[:n], LearnerConfig(order))
         assert "".join(seg.words) == text[:n]
         assert n <= CountingScorer.subtractions <= 16 * n, (n, CountingScorer.subtractions / n)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_cost_test_stops_the_scan_where_a_lexicon_word_ends_at_every_start(order, monkeypatch):
+    # on a line of the one-phoneme lexicon word "a" a lexicon word ends at
+    # every start, so the bar test never stops a scan; the cost test does,
+    # a few cells in, where a scan to the line's start spells ~n/2 cells per
+    # phoneme (~150 here)
+    t = CountTables()
+    for _ in range(20):
+        t.commit(["a"])
+    monkeypatch.setattr(segmenter, "UtteranceScorer", CountingScorer)
+    CountingScorer.subtractions = 0
+    seg, _ = segment(t, "a" * 300, LearnerConfig(order))
+    assert seg.words == ("a",) * 300
+    assert CountingScorer.subtractions <= 16 * 300, CountingScorer.subtractions
 
 
 @pytest.mark.parametrize("order", [2, 3])
