@@ -28,16 +28,18 @@ a dense search over all histories computes.
 
 Each column i scans its novel cells from the right and stops at the first
 start j where either of two strict tests holds, so no start it skips could
-win or tie.  The cost test: the cost alone, u[j:i]'s spelling score less
-the escape terms, exceeds the running minimum of the column's novel cells;
-the cost only grows leftwards, as rounding is monotone and each phoneme
-term is >= 0, and no history scores below 0.  The bar test: the cell exceeds
-(minimum + g) * grow.  The gap g is what merging two adjacent novel words
-saves at least: h - e1, h - e1 - e2 and h - e1 - e2 - e3 at orders 1, 2
-and 3, with h = -ln(f#/(1 - f#)) > 0 (f# < 1/2 in every mode) and each
-e_k <= 0.  In real arithmetic, let B be the reading a novel cell adds its
-word to (best at order 1, ending at orders 2 and 3), E its escape terms
-and p(t, j) the phoneme terms of u[t:j].  If u[t:j] may be read as a
+win or tie.  Each compares with the running minimum of the column's novel
+cells, or at order 1, which scores its lexicon cells first, of all its
+cells: any score some cell of the column reaches will do.  The cost test:
+the cost alone, u[j:i]'s spelling score less the escape terms, exceeds
+the minimum; it only grows leftwards, as rounding is monotone and each
+phoneme term is >= 0, and no history scores below 0.  The bar test: the
+cell exceeds (minimum + g) * grow.  The gap g is what merging two adjacent
+novel words saves at least: h - e1, h - e1 - e2 and h - e1 - e2 - e3 at
+orders 1, 2 and 3, with h = -ln(f#/(1 - f#)) > 0 (f# < 1/2 in every mode)
+and each e_k <= 0.  In real arithmetic, let B be the reading a novel cell
+adds its word to (best at order 1, ending at orders 2 and 3), E its escape
+terms and p(t, j) the phoneme terms of u[t:j].  If u[t:j] may be read as a
 novel word, B(j) <= B(t) + h + p(t, j) - E, so the cell (t, i) =
 B(t) + h + p(t, i) - E >= B(j) + p(j, i) = cell (j, i) - g.  At order 3
 the cell also reads u[:t] alone first, with one escape term fewer; as
@@ -58,24 +60,28 @@ Only lexicon cells are stored, one dict per column, and the columns'
 spelling windows (`UtteranceScorer.columns`), each column's at orders 2
 and 3: a scan that stops trims its window to the starts it reached and
 three more, as the next column's scan often goes a start or two further,
-so on a line of lexicon words memory is O(n).  No window up to column
-_SHORT is trimmed: on corpus-length utterances the trim and the spelling
-from scratch of a start a later scan reaches again cost more than the
-subtractions they save.  The path walk recomputes a
-novel cell, skipped or not, with the forward pass's own expression.  A
-lexicon cell costs O(1 + k) for the k lexicon words ending where it
-starts, plus at order 3 the splits stored for each that forms a seen
-bigram with it.
+so on a line of lexicon words memory is O(n).  Order 1 trims nothing where
+a lexicon cell's bar stops the scan: the next column may scan far past it.
+No window up to column _SHORT is trimmed: on corpus-length utterances the
+trim and the spelling from scratch of a start a later scan reaches again
+cost more than the subtractions they save.  A lexicon cell costs O(1 + k)
+for the k lexicon words ending where it starts, plus at order 3 the splits
+stored for each that forms a seen bigram with it, each one lookup and at
+most one chain call: an unseen bigram adds uni(w) - e2 and an unseen
+trigram bi(w1, w) - e3, computed once per (w1, w), without bi or tri.
 
 Ties are resolved exactly as a strict `score < best` update does when the
 unsplit candidate is examined first and split points are visited left to
 right: at equal score the candidate keeping the whole remaining span as
-one word survives.  Order 1 keeps the leftmost minimum with `<=` from the
-right.  Orders 2 and 3 store no back-pointers: `_walk_back` takes, from
-the end, the first start of the word before that reaches the cell's
-score, rounding near-ties included.  It tests each lexicon start with its
-own bi or tri term.  Every other start adds one shared term c to a
-reading whose best value the forward pass stored, so by the monotone
+one word survives.  Order 1 keeps the leftmost minimum: its lexicon cells,
+left to right, win on `<`, then its novel cells, from the right, on `<` or
+on a tie left of the split held.  Orders 2 and 3 store no back-pointers:
+`_walk_back` takes, from the end, the first start of the word before that
+reaches the cell's score, rounding near-ties included.  Each lexicon start
+comes as plain data, its value and its reach with its own bi or tri term;
+one helper per search recomputes any other cell, skipped or not, with the
+forward pass's own expression.  Every other start adds one shared term c
+to a reading whose best value the forward pass stored, so by the monotone
 rounding above they are scanned only when that best value plus c reaches
 the score T.  At order 3 the first word read alone is one of them when it
 is outside the lexicon (a lexicon one may form a seen bigram, with its own
@@ -84,13 +90,12 @@ it and novel[j].  The one-word reading, the leftmost start, is tested
 first.  The rest are scanned from the first lexicon start that reached T
 leftwards, keeping the last to reach T, down to a start s that shows none
 further left reaches T, so a start left of a trimmed window is seldom
-spelled from scratch.  The floor test:
-fl(floor(s) + c) > T, where floor(s), the spelling score less the escape
-terms (plus the word's own term at order 3), is at most the cell and never
-falls leftwards.  The bar test: the cell plus c
-exceeds (T + g) * grow where both guards above hold; each cell to its
-left is at least s's late reading less g, and each side sums at most
-n + 6 terms, c and T counted as one, which grow still covers.
+spelled from scratch.  The floor test: fl(floor(s) + c) > T, where
+floor(s), the spelling score less the escape terms (plus the word's own
+term at order 3), is at most the cell and never falls leftwards.  The bar
+test: the cell plus c exceeds (T + g) * grow where both guards above hold;
+each cell to its left is at least s's late reading less g, and each side
+sums at most n + 6 terms, c and T counted as one, which grow still covers.
 """
 
 from __future__ import annotations
@@ -181,9 +186,9 @@ def segment(tables: CountTables, u: str, cfg: LearnerConfig) -> tuple[Segmentati
     if cfg.order == 1:
         words, score = _search_unigram(scorer, u, limit)
     elif cfg.order == 2:
-        words, score = _search_bigram(scorer, u, limit)
+        words, score = _search_bigram(scorer, u, limit, tables.bigrams)
     else:
-        words, score = _search_trigram(scorer, u, limit, tables.bigrams)
+        words, score = _search_trigram(scorer, u, limit, tables.bigrams, tables.trigrams)
     return Segmentation(u, tuple(words)), score
 
 
@@ -195,8 +200,15 @@ def _search_unigram(scorer, u, limit):
     back = [0] * (n + 1)
     for i, col in enumerate(scorer.columns(), 1):
         here, lim = starts[i], limit[i]
-        score, split, bar = _INF, 0, _INF  # an infeasible prefix scores +inf, never wins
-        # the novel cells from the right: <= keeps the leftmost minimum
+        score, split = _INF, 0  # an infeasible prefix scores +inf, never wins
+        # lexicon cells left to right, then novel ones from the right: the leftmost minimum
+        for j, word in here.items():
+            if j >= lim:
+                break
+            cand = best[j] + uni(word)
+            if cand < score:
+                score, split = cand, j
+        bar = (score + gap) * grow
         for j in range(lim - 1, -1, -1):
             if j not in here:
                 try:
@@ -204,19 +216,13 @@ def _search_unigram(scorer, u, limit):
                 except IndexError:
                     cost = widen(col, j, i) - escape1
                 cand = best[j] + cost
-                if cand <= score:
+                if cand < score or cand == score and j < split:
                     score, split = cand, j
                     bar = (cand + gap) * grow
                 elif cost > score or cand > bar and not starts[j] and limit[j] == j:
-                    if i > _SHORT:  # keep the starts the scan reached, and three more
+                    if i > _SHORT and (cost > score or split not in here):  # module docstring
                         del col[i - j + 4:]
                     break
-        for j, word in here.items():
-            if j >= lim:
-                break
-            cand = best[j] + uni(word)
-            if cand < score or cand == score and j < split:
-                score, split = cand, j
         best[i] = score
         back[i] = split
     out, i = [], n
@@ -226,7 +232,7 @@ def _search_unigram(scorer, u, limit):
     return out[::-1], best[n]
 
 
-def _search_bigram(scorer, u, limit):
+def _search_bigram(scorer, u, limit, bigrams):
     n = len(u)
     uni, bi, starts, widen = scorer.uni, scorer.bi, scorer.starts, scorer.widen
     escape1, escape2, _ = scorer.escapes
@@ -266,10 +272,12 @@ def _search_bigram(scorer, u, limit):
         for j, word in here.items():
             if j >= lim:
                 break
-            score = novel[j] + (uni(word) - escape2) if j else uni(word)
+            alone = uni(word)
+            base = alone - escape2  # bi(prev, word) for every unseen pair
+            score = novel[j] + base if j else alone
             # the lexicon cells of column j are the first of starts[j]
             for prev, value in zip(starts[j].values(), cells[j].values()):
-                cand = value + bi(prev, word)
+                cand = value + (bi(prev, word) if (prev, word) in bigrams else base)
                 if cand < score:
                     score = cand
             lexical[j] = score
@@ -279,31 +287,30 @@ def _search_bigram(scorer, u, limit):
         novel[i] = shared
         ending[i] = top
 
-    walk = cells, novel, ending, spelled, wholes, widen, uni, bi, escape1, escape2
+    walk = cells, novel, ending, spelled, wholes, starts, widen, uni, bi, bigrams, escape1, escape2
 
     def step(j, i, word, v):
-        cells, novel, ending, spelled, wholes, widen, uni, bi, escape1, escape2 = walk
-        here, col = cells[j], spelled[j]
+        cells, novel, _, _, wholes, starts, _, uni, bi, bigrams, escape1, escape2 = walk
+        base = uni(word) - escape2 if word else 0.0  # bi("", word)
+        lexical = []
+        for (t, prev), value in zip(starts[j].items(), cells[j].values()):
+            term = bi(prev, word) if (prev, word) in bigrams else base
+            lexical.append((t, value + term, value))
+        return lexical, wholes[j] - escape1, 0.0, base, novel[j] + base
 
-        def value(t):
-            # a cell (t, j) not stored is recomputed as a novel cell
-            if t in here:
-                return here[t]
-            try:
-                spell = col[j - t] if t else wholes[j]
-            except IndexError:
-                spell = widen(col, t, j)
-            return ending[t] + (spell - escape1 - escape2) if t else spell - escape1
-        floor = lambda t: col[j - t] - escape1 - escape2
-        if word is None:
-            return value, floor, lambda prev: 0.0, 0.0, novel[j]
-        base = uni(word) - escape2  # bi("", word)
-        return value, floor, lambda prev: bi(prev, word), base, novel[j] + base
+    def cell(t, j):
+        _, _, ending, spelled, _, _, widen, _, _, _, escape1, escape2 = walk
+        col = spelled[j]
+        try:
+            spell = col[j - t] - escape1 - escape2
+        except IndexError:
+            spell = widen(col, t, j) - escape1 - escape2
+        return ending[t] + spell, spell
 
-    return _walk_back(u, ending[n], starts, limit, gap, grow, step)
+    return _walk_back(u, ending[n], starts, limit, gap, grow, step, cell)
 
 
-def _search_trigram(scorer, u, limit, bigram_counts):
+def _search_trigram(scorer, u, limit, bigrams, trigrams):
     n = len(u)
     uni, bi, tri, starts = scorer.uni, scorer.bi, scorer.tri, scorer.starts
     widen, (escape1, escape2, escape3) = scorer.widen, scorer.escapes
@@ -353,7 +360,7 @@ def _search_trigram(scorer, u, limit, bigram_counts):
             added = base - escape3
             others = novel[j] + added
             top, scores, before = _INF, {}, starts[j]
-            if 0 in before and (before[0], word) in bigram_counts:
+            if 0 in before and (before[0], word) in bigrams:
                 top = scores[0] = firsts[j] + bi(before[0], word)
             else:
                 opening = firsts[j] + base
@@ -361,14 +368,18 @@ def _search_trigram(scorer, u, limit, bigram_counts):
                     others = opening
             for k, (value, rest, split) in cells[j].items():
                 prev1 = before[k]
-                if (prev1, word) not in bigram_counts:
+                if (prev1, word) not in bigrams:
                     score = value + added
                     if score < others:
                         others = score
                     continue
-                score = rest + tri("", prev1, word)
+                # tri(prev2, prev1, word) for every unseen trigram, "" first
+                backoff = bi(prev1, word) - escape3
+                score = rest + backoff
                 for t, prefix in split.items():
-                    cand = prefix + tri(starts[k][t], prev1, word)
+                    prev2 = starts[k][t]
+                    cand = prefix + (tri(prev2, prev1, word) if (prev2, prev1, word) in trigrams
+                                     else backoff)
                     if cand < score:
                         score = cand
                 scores[k] = score
@@ -383,97 +394,101 @@ def _search_trigram(scorer, u, limit, bigram_counts):
         novel[i] = shared
         ending[i] = overall
         if lim:
-            if 0 in here:
-                firsts[i] = uni(here[0])
-            else:
-                firsts[i] = wholes[i] - escape1
+            firsts[i] = uni(here[0]) if 0 in here else wholes[i] - escape1
 
-    walk = (cells, novel, ending, firsts, spelled, widen, starts, uni, tri,
-            escape1, escape2, escape3, bigram_counts)
+    walk = (cells, novel, ending, firsts, spelled, starts, widen, uni, bi, tri, trigrams,
+            escape1, escape2, escape3)
 
     def step(j, i, word, v):
-        (cells, novel, ending, firsts, spelled, widen, starts, uni, tri,
-         escape1, escape2, escape3, bigram_counts) = walk
-        here, col = cells[j], spelled[j]
-        # for the last word (None) value(t) is the reading ending in u[t:j]
+        cells, novel, _, firsts, _, starts, _, uni, bi, tri, trigrams, _, escape2, escape3 = walk
+        # for the last word (None) a start's value is its best reading, u[t:j] last
         pair = cells[i][j][2] if word and j in cells[i] else {}
         base = uni(word) - escape2 if word else 0.0
         added = base - escape3 if word else 0.0
+        # v's term after any history that forms no seen trigram with it
+        other = bi(word, v) - escape3 if v else 0.0
         opening = firsts[j] + base
-        other = tri("", word, v) if v else 0.0  # v's term after an unseen bigram
         others = novel[j] + added
-        if 0 not in starts[j] and opening < others:
+        before, here, lexical = starts[j], cells[j], []
+        if 0 not in before and opening < others:
             others = opening
-        seen = (word, v) in bigram_counts
-
-        def value(t):
-            # a pair (t, j) not stored is recomputed as a novel pair
+        for t, prev in before.items():
             if t in pair:
-                return pair[t]
-            if not t:
-                return opening
-            if t in here:
-                return here[t][0] + added
-            try:
-                spell = col[j - t] - escape1 - escape2
-            except IndexError:
-                spell = widen(col, t, j) - escape1 - escape2
-            return min(ending[t] + (spell - escape3), firsts[t] + spell) + added
-        floor = lambda t: col[j - t] - escape1 - escape2 + added
-        return (value, floor, (lambda prev: tri(prev, word, v) if seen else other), other,
-                others + other)
+                value = pair[t]
+            elif not t:
+                value = opening
+            elif t in here:
+                value = here[t][0] + added
+            else:  # at or past the start bound
+                break
+            term = tri(prev, word, v) if (prev, word, v) in trigrams else other
+            lexical.append((t, value + term, value))
+        return lexical, opening, added, other, others + other
+
+    def cell(t, j):
+        _, _, ending, firsts, spelled, _, widen, _, _, _, _, escape1, escape2, escape3 = walk
+        col = spelled[j]
+        try:
+            spell = col[j - t] - escape1 - escape2
+        except IndexError:
+            spell = widen(col, t, j) - escape1 - escape2
+        late = ending[t] + (spell - escape3)
+        opening = firsts[t] + spell
+        return opening if opening < late else late, spell
 
     score = firsts[n] if firsts[n] < ending[n] else ending[n]
-    return _walk_back(u, score, starts, limit, gap, grow, step)
+    return _walk_back(u, score, starts, limit, gap, grow, step, cell)
 
 
-def _walk_back(u, score, starts, limit, gap, grow, step):
+def _walk_back(u, score, starts, limit, gap, grow, step, cell):
     """The winning path's words and the best score, ties broken as above.
 
-    step(j, i, word, v) gives, for the word u[j:i] with next word v, (value,
-    floor, term, shared, bound): a lexicon start t with word prev reaches
-    value(t) + term(prev), any other start value(t) + shared, bound is the
-    least of those, and the walk moves on to value(k) for the chosen k.
-    floor(t), limit, gap and grow are the stop tests' terms, used at every
-    word whatever its window holds; floor(t) is asked only after value(t),
-    which widens the window to t.
-    step(n, None, None, None) picks the last word, with terms of 0.0.
-    value(t) recomputes any cell the forward pass did not store, skipped
-    ones too, with the pass's own expression.  For t at or past the start
-    bound that is no reading at all, but such a t never decides: the
-    start chosen lies before it, and only the first to reach the score is
-    taken.  A step reads the search's tables from one tuple, `walk`:
-    closing over them makes them slower cell variables.  A word with no
-    start that reaches its score, which only a wrong bound can leave,
-    raises RuntimeError.
+    step(j, i, word, v) gives, for the word u[j:i] with next word v,
+    (lexical, opening, added, shared, bound): lexical holds (t, reach,
+    value) for each stored lexicon start t of the word before, in order,
+    value the best reading ending in u[t:j], u[j:i] and reach that plus
+    v's term.  Any other start t > 0 has the value cell(t, j)[0] + added,
+    the one-word reading opening, and reaches that plus shared; bound is
+    the least of those reaches.  step(n, None, None, None) picks the last
+    word, with terms of 0.0.  cell(t, j) recomputes a novel cell with the
+    forward pass's expression and gives floor(t) for the stop tests too;
+    at or past the start bound that is no reading at all, but such a t
+    never decides: the start chosen lies before it, and only the first to
+    reach the score is taken.  The helpers read the search's tables from
+    one tuple, `walk`, that holds neither of them: closing over the tables
+    makes them slower cell variables, and a helper in the tuple a reference
+    cycle.  A word whose score no start reaches, which only a wrong bound
+    can leave, raises RuntimeError.
     """
     target = score
     j = len(u)
     i = word = v = None
     out = []
     while j:
-        value, floor, term, shared, bound = step(j, i, word, v)
+        lexical, opening, added, shared, bound = step(j, i, word, v)
         before = starts[j]
         k = j
-        for t, prev in before.items():
-            if value(t) + term(prev) == target:
-                k = t
+        for t, reach, value in lexical:
+            if reach == target:
+                k, found = t, value
                 break
         if bound == target:
-            if 0 not in before and value(0) + shared == target:
-                k = 0
+            if 0 not in before and opening + shared == target:
+                k, found = 0, opening
             else:  # from the right, down to a stop test
                 for t in range(k - 1, 0, -1):
                     if t not in before:
-                        reach = value(t) + shared
+                        value, spell = cell(t, j)
+                        value += added
+                        reach = value + shared
                         if reach == target:
-                            k = t
+                            k, found = t, value
                         elif (reach > (target + gap) * grow and not starts[t] and limit[t] == t
-                              or floor(t) + shared > target):
+                              or spell + added + shared > target):
                             break
         if k == j:
             raise RuntimeError(f"no start of a word ending at {j} reaches {target!r}")
-        target = value(k)
+        target = found
         i, j, v, word = j, k, word, u[k:j]
         out.append(word)
     out.reverse()

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import gc
 import io
 import math
 import random
@@ -484,9 +485,10 @@ def test_walk_back_raises_when_no_start_reaches_the_target():
     try:
         for bound in (2.0, 0.5):
             def step(j, i, word, v, bound=bound):
-                return (lambda t: 1.0), (lambda t: 1.0), (lambda prev: 0.0), 0.0, bound
+                return [], 1.0, 0.0, 0.0, bound
             with pytest.raises(RuntimeError, match="ending at 2 reaches 0.5"):
-                _walk_back("ab", 0.5, [{}, {}, {}], range(3), 0.0, 1.0, step)
+                _walk_back("ab", 0.5, [{}, {}, {}], range(3), 0.0, 1.0, step,
+                           lambda t, j: (1.0, 1.0))
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
@@ -494,10 +496,23 @@ def test_walk_back_raises_when_no_start_reaches_the_target():
 
 class CountingScorer(UtteranceScorer):
     """Counts the spelling subtractions of every window, of every score
-    spelled from scratch and of the whole-word scores, in `subtractions`."""
+    spelled from scratch and of the whole-word scores, in `subtractions`,
+    and the search's calls of the chain's uni, bi and tri, in `calls`."""
 
     __slots__ = ()
-    subtractions = 0
+    subtractions = calls = 0
+
+    def __init__(self, tables, u):
+        super().__init__(tables, u)
+        for name in ("uni", "bi", "tri"):
+            setattr(self, name, self.counted(getattr(self, name)))
+
+    @staticmethod
+    def counted(score):
+        def call(*words):
+            CountingScorer.calls += 1
+            return score(*words)
+        return call
 
     def columns(self):
         for window in super().columns():
@@ -575,6 +590,39 @@ def test_walk_spells_few_cells_from_scratch(order, monkeypatch):
     assert len(u) <= CountingScorer.subtractions <= 40 * len(u), CountingScorer.subtractions
 
 
+@pytest.mark.parametrize("order, ceiling", [(2, 1500), (3, 1910)])
+def test_lexicon_readings_call_the_chain_at_most_once(order, ceiling, monkeypatch):
+    # on 1,000 phonemes of lexicon words each lexicon reading costs one
+    # lookup and at most one chain call: bi only for a seen bigram, as an
+    # unseen one adds uni(word) - e2, and tri only for a seen trigram, as an
+    # unseen one adds the back-off term computed once per bigram.  Calling
+    # bi for every pair and tri for every split took 1,742 and 2,031 calls
+    t, lines = trained_on_synthetic308()
+    u = "".join(lines).replace(" ", "")[:1000]
+    monkeypatch.setattr(segmenter, "UtteranceScorer", CountingScorer)
+    CountingScorer.calls = 0
+    seg, _ = segment(t, u, LearnerConfig(order))
+    assert "".join(seg.words) == u
+    assert CountingScorer.calls <= ceiling, CountingScorer.calls
+
+
+def test_learn_loop_leaves_no_garbage_cycles():
+    # a search frees its tables and the walk's helpers on return: a walk
+    # tuple holding a helper that reads that same tuple is a reference
+    # cycle, which leaves every search's tables to the cyclic collector
+    lines = (ROOT / "tests" / "fixtures" / "synthetic308.txt").read_text().splitlines()
+    gc.collect()
+    gc.disable()
+    try:
+        for order in (1, 2, 3):
+            t = CountTables()
+            for line in lines[:300]:
+                process_utterance(t, line.replace(" ", ""), LearnerConfig(order))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 @pytest.mark.parametrize("search, cells", [(_search_unigram, ()), (_search_bigram, ("walk",)),
                                            (_search_trigram, ("walk",))],
                          ids=["order1", "order2", "order3"])
@@ -626,6 +674,22 @@ def test_random_line_spells_no_more_than_a_spelling_matrix(order, monkeypatch):
     n = len(u)
     assert "".join(seg.words) == u
     assert CountingScorer.subtractions <= n * (n + 1) // 2 + 4 * n, CountingScorer.subtractions
+
+
+def test_order1_lexicon_bar_leaves_the_window_whole_on_random_phonemes(monkeypatch):
+    # on random phonemes a lexicon word that ends by chance stops its
+    # column's scan at once, by its bar, while the next column scans the
+    # plateau of novel cells far to the left; a window trimmed there is
+    # spelled again from scratch, start by start: 40,840 subtractions here,
+    # against 14,198 when such a stop keeps the window whole
+    t, _ = trained_on_synthetic308()
+    u = "".join(random.Random(300).choices(default_inventory().symbols, k=300))
+    monkeypatch.setattr(segmenter, "UtteranceScorer", CountingScorer)
+    CountingScorer.subtractions = 0
+    seg, _ = segment(t, u, LearnerConfig(1))
+    n = len(u)
+    assert "".join(seg.words) == u
+    assert CountingScorer.subtractions <= n * (n + 1) // 4, CountingScorer.subtractions
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
