@@ -229,20 +229,18 @@ class UtteranceScorer:
     """One utterance's view of the tables' shared back-off chain.
 
     A word u[t:i] outside the lexicon costs its spelling score less
-    escapes[0].  The scorer spells those scores only where a search asks,
-    each bit-identical to word_score's however it is reached, so memory
-    follows the cells a search reads instead of the n(n+1)/2 substrings.
-    columns() yields column i's window for i = 1, ..., n: window[i - t] is
-    u[t:i]'s score for the starts t nearest i, window[0] the head h, the
-    empty word's.  Each window is the one before, each score less
-    logs[i-1], with h put in front, so a search may trim a window in place
-    (del window[k + 1:] keeps the k starts nearest i) before the next is
-    built from it; reading past its end raises IndexError.  widen(window,
-    t, i) extends column i's window leftwards to start t, spelling each new
-    score from scratch with spell(t, i), which subtracts the same terms in
-    the same order, and returns t's.  wholes() lists u[:i]'s score for
-    i = 0, ..., n, spelled in n subtractions that are the same, in the
-    same order, as every window's start-0 cell.
+    escapes[0], the head h less logs[t], ..., logs[i-1] in that order.  The
+    scorer holds one running spelling per start for the searches to move
+    on: spelled[t] is u[t:upto[t]]'s score, h with upto[t] = t until a
+    search reads t.  A search reads u[t:i], i > upto[t], by subtracting
+    logs[upto[t]:i] from spelled[t] in turn, one term where upto[t] =
+    i - 1, and stores the score and i back.  These are the same
+    subtractions, in the same order, as word_score's, so every score is
+    bit-identical however it is reached, and memory is O(n) instead of the
+    n(n+1)/2 substrings.  spell(t, i) gives u[t:i]'s score without storing
+    it: it continues the running spelling where upto[t] <= i and spells
+    from h where upto[t] > i.  wholes() lists u[:i]'s score for
+    i = 0, ..., n, spelled in n subtractions.
 
     starts[i] maps each start of a lexicon word ending at i to that word,
     found by lookups along lexicon prefixes only.  The search scores
@@ -252,28 +250,21 @@ class UtteranceScorer:
     its own, and the tables must not change while it lives.
     """
 
-    __slots__ = ("starts", "logs", "head", "escapes", "grow", "uni", "bi", "tri")
+    __slots__ = ("starts", "logs", "head", "escapes", "grow", "uni", "bi", "tri", "spelled",
+                 "upto")
 
     def __init__(self, tables: CountTables, u: str):
         self.uni, self.bi, self.tri, substrings, self.escapes = _chain(tables)
         self.starts, self.logs, self.head = substrings(u)
         self.grow = 1.0 + (len(u) + 8) * 2.0 ** -50
-
-    def columns(self):
-        head = self.head
-        window = [head]
-        for log_i in self.logs:
-            window = [value - log_i for value in window]
-            window.insert(0, head)
-            yield window
+        self.spelled = [self.head] * (len(u) + 1)
+        self.upto = list(range(len(u) + 1))
 
     def spell(self, t: int, i: int) -> float:
+        last = self.upto[t]
+        if last <= i:
+            return reduce(sub, self.logs[last:i], self.spelled[t])
         return reduce(sub, self.logs[t:i], self.head)
-
-    def widen(self, window: list, t: int, i: int) -> float:
-        spell = self.spell
-        window.extend([spell(s, i) for s in range(i - len(window), t - 1, -1)])
-        return window[-1]
 
     def wholes(self) -> list:
         return list(accumulate(self.logs, sub, initial=self.head))

@@ -50,20 +50,20 @@ loses anyway) lose at most (t + 2), (i + 6) and 2(n + 4) times
 2^-53 (s + wholes[i]), less than the margin 8(n + 8) 2^-53 (s + wholes[i])
 for any n below 2^45.
 
-Only lexicon cells are stored, one dict per column, and the columns'
-spelling windows (`UtteranceScorer.columns`), each column's at orders 2
-and 3: a scan that stops trims its window to the starts it read and
-three more, as the next column's scan often goes a start or two further,
-so on a line of lexicon words memory is O(n).  Order 1 trims nothing where
-a lexicon cell holds the minimum without lowering the least key: the next
-column's cells lie above that key's, and its scan may go far past the stop.
-No window up to column _SHORT is trimmed: on corpus-length utterances the
-trim and the spelling from scratch of a start a later scan reaches again
-cost more than the subtractions they save.  A lexicon cell costs O(1 + k)
-for the k lexicon words ending where it starts, plus at order 3 the splits
-stored for each that forms a seen bigram with it, each one lookup and at
-most one chain call: an unseen bigram adds uni(w) - e2 and an unseen
-trigram bi(w1, w) - e3, computed once per (w1, w), without bi or tri.
+Only lexicon cells are stored, one dict per column, and one running
+spelling per start, the scorer's spelled[t], u[t:upto[t]]'s spelling score
+before the escape term.  A scan reads u[t:i] with one subtraction,
+spelled[t] - logs[i-1], where upto[t] = i - 1; a start that earlier columns
+skipped (a lexicon start, one past the stop or the start bound) catches up
+over logs[upto[t]:i].  It then stores the score and sets upto[t] = i.
+Spelling is one left-to-right chain of subtractions from h, so every score
+is bit-identical to word_score's however it is reached, a start costs one
+subtraction per column it moves on, and memory is O(n) on every line.  A
+lexicon cell costs O(1 + k) for the k lexicon words ending where it starts,
+plus at order 3 the splits stored for each that forms a seen bigram with
+it, each one lookup and at most one chain call: an unseen bigram adds
+uni(w) - e2 and an unseen trigram bi(w1, w) - e3, computed once per
+(w1, w), without bi or tri.
 
 Ties are resolved exactly as a strict `score < best` update does when the
 unsplit candidate is examined first and split points are visited left to
@@ -86,22 +86,24 @@ reading, the leftmost start, is tested first.  The rest are scanned from
 the first lexicon start that reached T leftwards, keeping the last to reach
 T, down to the key stop with i = j and s = T * grow - d - c, d the word's
 own term: a reach is cell + d + c, and s keeps a margin (grow - 1) T of
-its own, for its three roundings relative to T and the reach's two.  So a
-start left of a trimmed window is seldom spelled from scratch.
+its own, for its three roundings relative to T and the reach's two.
+cell(t, j) continues t's running spelling where upto[t] <= j and spells
+u[t:j] from scratch, with the same chain, where the forward pass has
+moved it past j.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import accumulate
+from operator import sub
 
 from .estimator import UtteranceScorer, check_order
 from .tables import CountTables, PhonemeMode
 
 _INF = math.inf
-# no window up to this column is trimmed (module docstring)
-_SHORT = 16
 
 
 @dataclass(frozen=True)
@@ -187,11 +189,13 @@ def segment(tables: CountTables, u: str, cfg: LearnerConfig) -> tuple[Segmentati
 def _search_unigram(scorer, u, limit):
     n = len(u)
     uni, starts, escape1 = scorer.uni, scorer.starts, scorer.escapes[0]
-    grow, widen, whole = scorer.grow, scorer.widen, scorer.head
+    logs, spelled, upto = scorer.logs, scorer.spelled, scorer.upto
+    grow, whole = scorer.grow, scorer.head
     shrink, fixed = grow - 2.0, whole - escape1
     best, back, keys, least = [0.0] * (n + 1), [0] * (n + 1), [_INF] * (n + 1), _INF
     # keys[i]: least key up to i; whole: wholes()[i], with no list (it lifted peak RSS)
-    for i, (col, log_i) in enumerate(zip(scorer.columns(), scorer.logs), 1):
+    for prev, log_i in enumerate(logs):
+        i = prev + 1
         here, lim, whole = starts[i], limit[i], whole - log_i
         score, split = _INF, 0  # an infeasible prefix scores +inf, never wins
         # lexicon cells left to right, start 0, novel ones from the right: leftmost minimum
@@ -209,14 +213,14 @@ def _search_unigram(scorer, u, limit):
         bar = score * grow + floor
         for j in range(lim - 1, 0, -1):
             if keys[j] > bar:
-                if i > _SHORT and (split not in here or score - whole < least):
-                    del col[i - j + 3:]  # module docstring
                 break
             if j not in here:
-                try:
-                    cand = best[j] + (col[i - j] - escape1)  # uni(u[j:i])
-                except IndexError:
-                    cand = best[j] + (widen(col, j, i) - escape1)
+                if upto[j] == prev:  # u[j:i]'s running spelling (module docstring)
+                    cost = spelled[j] - log_i
+                else:
+                    cost = reduce(sub, logs[upto[j]:i], spelled[j])
+                spelled[j], upto[j] = cost, i
+                cand = best[j] + (cost - escape1)  # uni(u[j:i])
                 if cand < score or cand == score and j < split:
                     score, split = cand, j
                     bar = cand * grow + floor
@@ -234,7 +238,8 @@ def _search_unigram(scorer, u, limit):
 
 def _search_bigram(scorer, u, limit, bigrams):
     n = len(u)
-    uni, bi, starts, widen = scorer.uni, scorer.bi, scorer.starts, scorer.widen
+    uni, bi, starts = scorer.uni, scorer.bi, scorer.starts
+    logs, spelled, upto = scorer.logs, scorer.spelled, scorer.upto
     escape1, escape2, _ = scorer.escapes
     grow, wholes = scorer.grow, scorer.wholes()
     shrink, fixed = grow - 2.0, scorer.head - escape1 - escape2
@@ -243,29 +248,29 @@ def _search_bigram(scorer, u, limit, bigrams):
     # is the single-word reading, scored as a first word.  novel[i]: the best
     # reading of u[:i] whose last word is outside the lexicon, which all
     # score the next word alike; ending[i]: the best reading of u[:i];
-    # spelled[i]: column i's window; keys[i]: the least key up to i.
-    cells, spelled = [{}], [None] * (n + 1)
+    # keys[i]: the least key up to i.
+    cells = [{}]
     novel, ending, keys, least = [_INF] * (n + 1), [_INF] * (n + 1), [_INF] * (n + 1), _INF
-    for i, col in enumerate(scorer.columns(), 1):
+    for prev, log_i in enumerate(logs):
+        i = prev + 1
         here, lim, whole = starts[i], limit[i], wholes[i]
         shared = whole - escape1 if lim and 0 not in here else _INF  # uni(u[:i]) first
         floor = whole * shrink - fixed
         bar = shared * grow + floor
         for j in range(lim - 1, 0, -1):
             if keys[j] > bar:
-                if i > _SHORT:
-                    del col[i - j + 3:]
                 break
             if j not in here:
-                try:
-                    base = col[i - j] - escape1 - escape2  # bi("", u[j:i])
-                except IndexError:
-                    base = widen(col, j, i) - escape1 - escape2
+                if upto[j] == prev:
+                    cost = spelled[j] - log_i
+                else:
+                    cost = reduce(sub, logs[upto[j]:i], spelled[j])
+                spelled[j], upto[j] = cost, i
+                base = cost - escape1 - escape2  # bi("", u[j:i])
                 score = ending[j] + base
                 if score < shared:
                     shared = score
                     bar = score * grow + floor
-        spelled[i] = col
         top = shared
         lexical = {}
         for j, word in here.items():
@@ -289,10 +294,10 @@ def _search_bigram(scorer, u, limit, bigrams):
             least = top - whole
         keys[i] = least
 
-    walk = cells, novel, ending, spelled, wholes, starts, widen, uni, bi, bigrams, escape1, escape2
+    walk = cells, novel, ending, scorer.spell, wholes, starts, uni, bi, bigrams, escape1, escape2
 
     def step(j, i, word, v):
-        cells, novel, _, _, wholes, starts, _, uni, bi, bigrams, escape1, escape2 = walk
+        cells, novel, _, _, wholes, starts, uni, bi, bigrams, escape1, escape2 = walk
         base = uni(word) - escape2 if word else 0.0  # bi("", word)
         lexical = []
         for (t, prev), value in zip(starts[j].items(), cells[j].values()):
@@ -301,13 +306,8 @@ def _search_bigram(scorer, u, limit, bigrams):
         return lexical, wholes[j] - escape1, 0.0, base, novel[j] + base
 
     def cell(t, j):
-        _, _, ending, spelled, _, _, widen, _, _, _, escape1, escape2 = walk
-        col = spelled[j]
-        try:
-            spell = col[j - t] - escape1 - escape2
-        except IndexError:
-            spell = widen(col, t, j) - escape1 - escape2
-        return ending[t] + spell
+        _, _, ending, spell, _, _, _, _, _, escape1, escape2 = walk
+        return ending[t] + (spell(t, j) - escape1 - escape2)
 
     return _walk_back(u, ending[n], starts, keys, wholes, fixed, grow, step, cell)
 
@@ -315,7 +315,8 @@ def _search_bigram(scorer, u, limit, bigrams):
 def _search_trigram(scorer, u, limit, bigrams, trigrams):
     n = len(u)
     uni, bi, tri, starts = scorer.uni, scorer.bi, scorer.tri, scorer.starts
-    widen, (escape1, escape2, escape3) = scorer.widen, scorer.escapes
+    logs, spelled, upto = scorer.logs, scorer.spelled, scorer.upto
+    escape1, escape2, escape3 = scorer.escapes
     grow, wholes = scorer.grow, scorer.wholes()
     shrink, fixed = grow - 2.0, scorer.head - escape1 - escape2
     # Pair (j, i) stands for the readings of u[:i] in two or more words
@@ -326,24 +327,25 @@ def _search_trigram(scorer, u, limit, bigrams, trigrams):
     # other k, after which every next word v adds tri("", u[j:i], v).
     # novel[i] is the best pair (j, i), j >= 1, whose last word u[j:i] is
     # outside the lexicon; ending[i] is the best pair (j, i) over every
-    # j >= 1; firsts[i] scores u[:i] as the first word; spelled[i]: column
-    # i's window; keys[i]: the least key up to i (module docstring).
-    cells, spelled, keys, least = [{}], [None] * (n + 1), [_INF] * (n + 1), _INF
+    # j >= 1; firsts[i] scores u[:i] as the first word; keys[i]: the least
+    # key up to i (module docstring).
+    cells, keys, least = [{}], [_INF] * (n + 1), _INF
     novel, ending, firsts = [_INF] * (n + 1), [_INF] * (n + 1), [_INF] * (n + 1)
-    for i, col in enumerate(scorer.columns(), 1):
+    for prev, log_i in enumerate(logs):
+        i = prev + 1
         here, lim, whole = starts[i], limit[i], wholes[i]
         shared = bar = _INF
         floor = whole * shrink - fixed
         for j in range(lim - 1, 0, -1):
             if keys[j] > bar:
-                if i > _SHORT:
-                    del col[i - j + 3:]
                 break
             if j not in here:
-                try:
-                    base = col[i - j] - escape1 - escape2  # bi("", u[j:i])
-                except IndexError:
-                    base = widen(col, j, i) - escape1 - escape2
+                if upto[j] == prev:
+                    cost = spelled[j] - log_i
+                else:
+                    cost = reduce(sub, logs[upto[j]:i], spelled[j])
+                spelled[j], upto[j] = cost, i
+                base = cost - escape1 - escape2  # bi("", u[j:i])
                 added = base - escape3  # tri("", "", u[j:i])
                 # base after the first word alone, added after two or more
                 late = ending[j] + added
@@ -352,7 +354,6 @@ def _search_trigram(scorer, u, limit, bigrams, trigrams):
                 if top < shared:
                     shared = top
                     bar = top * grow + floor
-        spelled[i] = col
         overall = shared
         lexical = {}
         for j, word in here.items():
@@ -405,11 +406,11 @@ def _search_trigram(scorer, u, limit, bigrams, trigrams):
             least = key
         keys[i] = least
 
-    walk = (cells, novel, ending, firsts, spelled, starts, widen, uni, bi, tri, trigrams,
+    walk = (cells, novel, ending, firsts, scorer.spell, starts, uni, bi, tri, trigrams,
             escape1, escape2, escape3)
 
     def step(j, i, word, v):
-        cells, novel, _, firsts, _, starts, _, uni, bi, tri, trigrams, _, escape2, escape3 = walk
+        cells, novel, _, firsts, _, starts, uni, bi, tri, trigrams, _, escape2, escape3 = walk
         # for the last word (None) a start's value is its best reading, u[t:j] last
         pair = cells[i][j][2] if word and j in cells[i] else {}
         base = uni(word) - escape2 if word else 0.0
@@ -435,14 +436,10 @@ def _search_trigram(scorer, u, limit, bigrams, trigrams):
         return lexical, opening, added, other, others + other
 
     def cell(t, j):
-        _, _, ending, firsts, spelled, _, widen, _, _, _, _, escape1, escape2, escape3 = walk
-        col = spelled[j]
-        try:
-            spell = col[j - t] - escape1 - escape2
-        except IndexError:
-            spell = widen(col, t, j) - escape1 - escape2
-        late = ending[t] + (spell - escape3)
-        opening = firsts[t] + spell
+        _, _, ending, firsts, spell, _, _, _, _, _, escape1, escape2, escape3 = walk
+        base = spell(t, j) - escape1 - escape2
+        late = ending[t] + (base - escape3)
+        opening = firsts[t] + base
         return opening if opening < late else late
 
     score = firsts[n] if firsts[n] < ending[n] else ending[n]

@@ -2,12 +2,15 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import sub
 
 import pytest
 
 from segdisc import (SENTINEL, CountTables, LearnerConfig, PhonemeMode, UnknownPhoneme,
                      default_inventory, p_bigram, p_sigma, p_trigram, p_unigram,
                      segment, word_score)
+from segdisc import segmenter
 from segdisc.estimator import UtteranceScorer
 
 F = Fraction
@@ -295,55 +298,85 @@ def spelled_alone(tables, word):
     return value
 
 
+def read(scorer, j, i):
+    """u[j:i]'s running spelling, read and stored as the searches read it:
+    one phoneme on where start j's spelling ends at i - 1, caught up
+    across the columns between elsewhere."""
+    logs, spelled, upto = scorer.logs, scorer.spelled, scorer.upto
+    if upto[j] == i - 1:
+        cost = spelled[j] - logs[i - 1]
+    else:
+        cost = reduce(sub, logs[upto[j]:i], spelled[j])
+    spelled[j] = cost
+    upto[j] = i
+    return cost
+
+
+def check_spelling(tables, scorer, u, score, j, i):
+    """A spelling score of u[j:i] from `scorer`, less the unigram escape
+    term, equals by float.hex word_score's and the word spelled on its own
+    wherever u[j:i] is outside the lexicon."""
+    word = u[j:i]
+    if word not in tables.unigrams:
+        got = (score - scorer.escapes[0]).hex()
+        assert got == word_score(tables, (), word, 1).hex(), (u, j, i)
+        assert got == spelled_alone(tables, word).hex(), (u, j, i)
+
+
+def assert_spellings_are_bit_identical(tables, u, scorer):
+    """Every spelling score a search can read from `scorer` is word_score's
+    (check_spelling): each start's running spelling of u[t:upto[t]],
+    spelled[t] == h where nothing was read, and spell(t, i) for every
+    t < i, which continues a running spelling that ends at or before i
+    and spells u[t:i] from scratch where it ends past i.  Returns the
+    number of pairs each way."""
+    n = len(u)
+    assert len(scorer.spelled) == len(scorer.upto) == n + 1, u
+    for t, (value, last) in enumerate(zip(scorer.spelled, scorer.upto)):
+        assert t <= last <= n, (u, t, last)
+        if last == t:
+            assert value.hex() == scorer.head.hex(), (u, t)
+        else:
+            check_spelling(tables, scorer, u, value, t, last)
+    ways = [0, 0]
+    for i in range(1, n + 1):
+        for t in range(i):
+            check_spelling(tables, scorer, u, scorer.spell(t, i), t, i)
+            ways[scorer.upto[t] > i] += 1
+    return ways
+
+
 def assert_pass_is_bit_identical(tables, u):
-    """Every spelling score the scorer can give a search, less the unigram
-    escape term, equals by float.hex word_score's and the word spelled on
-    its own wherever the word is outside the lexicon: each window's cells,
-    cells spelled from scratch left of a trimmed window, once and again
-    after a second widening, and the whole-word cells.  Windows are trimmed
-    and widened as the searches do, so later columns extend cells of both
-    kinds.  wholes() holds n + 1 cells, each bit for bit u[:i]'s window
-    cell, or its spelling from scratch where a trimmed window lost start 0.
-    starts[i] maps exactly the j whose u[j:i] is a lexicon word, in
-    increasing order, to that word."""
+    """The scorer's spelling scores are bit-identical to word_score's
+    however they are reached.  Each column reads a random half of its
+    starts, right to left, as the searches do, so a start's reads are one
+    phoneme on after a read one column back and catch-ups across a gap of
+    columns after a skip; every read is checked, and then every spelling
+    the running state and spell() give (assert_spellings_are_bit_identical),
+    from scratch or continued.  wholes() holds the n + 1 spellings of u[:i],
+    each bit for bit spell(0, i) from scratch.  starts[i] maps exactly the j
+    whose u[j:i] is a lexicon word, in increasing order, to that word."""
     scorer = UtteranceScorer(tables, u)
-    escape1 = scorer.escapes[0]
+    fresh = UtteranceScorer(tables, u)
     wholes = scorer.wholes()
     assert len(wholes) == len(u) + 1, u
     assert wholes[0].hex() == scorer.head.hex(), u
-
-    def check(score, j, i):
-        word = u[j:i]
-        if word not in tables.unigrams:
-            got = (score - escape1).hex()
-            assert got == word_score(tables, (), word, 1).hex(), (u, j, i)
-            assert got == spelled_alone(tables, word).hex(), (u, j, i)
-
-    def check_window(window, i):
-        assert window[0] == scorer.head, (u, i)
-        for j in range(i + 1 - len(window), i):
-            check(window[i - j], j, i)
-
-    for i, window in enumerate(scorer.columns(), 1):
-        check_window(window, i)
-        check(wholes[i], 0, i)
-        whole = window[i] if len(window) > i else scorer.spell(0, i)
-        assert wholes[i].hex() == whole.hex(), (u, i)
-        # trim to the starts nearest i (none every third column), then widen
-        # to i // 3 and again to 0, spelling each new start from scratch
-        keep = (i + 1) // 2 if i % 3 else 0
-        del window[keep + 1:]
-        for t in (i // 3, 0):
-            if t < i + 1 - len(window):
-                check(scorer.widen(window, t, i), t, i)
-                assert len(window) == i - t + 1, (u, t, i)
-                check_window(window, i)
-        # odd columns hand the next a trimmed window, even ones a widened one
-        if i % 2:
-            del window[keep + 1:]
+    rng = random.Random(u)
+    kinds = [0, 0]
+    for i in range(1, len(u) + 1):
+        assert wholes[i].hex() == fresh.spell(0, i).hex(), (u, i)
+        for j in range(i - 1, 0, -1):
+            if rng.random() < 0.5:
+                kinds[scorer.upto[j] != i - 1] += 1
+                check_spelling(tables, scorer, u, read(scorer, j, i), j, i)
         lexical = [(j, u[j:i]) for j in range(i) if u[j:i] in tables.unigrams]
         assert list(scorer.starts[i].items()) == lexical, (u, i)
     assert scorer.starts[0] == {}
+    if len(u) >= 8:
+        assert min(kinds) > 0, (u, kinds)
+    ways = assert_spellings_are_bit_identical(tables, u, scorer)
+    if len(u) >= 8:
+        assert min(ways) > 0, (u, ways)
 
 
 @pytest.mark.parametrize("mode", list(PhonemeMode))
@@ -412,6 +445,35 @@ def test_spelling_pass_repeated_substrings():
     t.commit(["abab"], PhonemeMode.SPEECH)
     assert_pass_is_bit_identical(t, "ab" * 20)
     assert_pass_is_bit_identical(t, "aabaabbab" * 3)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_searches_leave_bit_identical_running_spellings(order, monkeypatch):
+    # the searches read and store the running spellings themselves, one
+    # phoneme on or caught up past the columns where a start was skipped (a
+    # lexicon start, one past the stop, one outside the vowel rule's bound);
+    # whatever they leave, and whatever spell() gives the walk after them,
+    # must be word_score's bits
+    scorers = []
+
+    class Kept(UtteranceScorer):
+        __slots__ = ()
+
+        def __init__(self, tables, u):
+            super().__init__(tables, u)
+            scorers.append(self)
+
+    monkeypatch.setattr(segmenter, "UtteranceScorer", Kept)
+    rng = random.Random(f"running-{order}")
+    pool = ["a", "b", "ab", "ba", "aab", "bI", "tIb", "Ita", "kEt"]
+    for _ in range(40):
+        mode = rng.choice(list(PhonemeMode))
+        t = CountTables()
+        for _ in range(rng.randint(0, 12)):
+            t.commit(rng.choices(pool, k=rng.randint(1, 5)), mode)
+        u = "".join(rng.choices("abItkE", k=rng.randint(1, 40)))
+        segment(t, u, LearnerConfig(order, mode, rng.random() < 0.3))
+        assert_spellings_are_bit_identical(t, u, scorers[-1])
 
 
 # --- one chain per table state ----------------------------------------------

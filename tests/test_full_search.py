@@ -3,9 +3,9 @@
 `full_search` keeps the searches as they were before any cutoff: every
 start of every column, a dense cell per pair and a walk with no stop test.
 On lines of hundreds of phonemes, where the key stop ends the column
-scans and the walk's scans early and the column scans trim their spelling
-windows, the production searches must return the same words and the same
-score bits.  The tables are learned incrementally from a prefix of
+scans and the walk's scans early and each start's running spelling catches
+up across the columns that skipped it, the production searches must return
+the same words and the same score bits.  The tables are learned incrementally from a prefix of
 the stream, under the same settings as the search.  Two short near-ties
 check the rounding margin of the key stop at orders 2 and 3.
 """

@@ -498,15 +498,19 @@ def test_walk_back_raises_when_no_start_reaches_the_target():
 
 
 class CountingScorer(UtteranceScorer):
-    """Counts the spelling subtractions of every window, of every score
-    spelled from scratch and of the whole-word scores, in `subtractions`,
-    and the search's calls of the chain's uni, bi and tri, in `calls`."""
+    """Counts a search's spelling subtractions, in `subtractions()`: the
+    running spellings', sum(upto[t] - t) over each scorer once its searches
+    are done, those of every spell() call and those of the whole-word
+    scores; and the search's calls of the chain's uni, bi and tri, in
+    `calls`.  reset() starts a count."""
 
     __slots__ = ()
-    subtractions = calls = 0
+    calls = spelled_apart = 0
+    made = []
 
     def __init__(self, tables, u):
         super().__init__(tables, u)
+        CountingScorer.made.append(self)
         for name in ("uni", "bi", "tri"):
             setattr(self, name, self.counted(getattr(self, name)))
 
@@ -517,18 +521,32 @@ class CountingScorer(UtteranceScorer):
             return score(*words)
         return call
 
-    def columns(self):
-        for window in super().columns():
-            CountingScorer.subtractions += len(window) - 1
-            yield window
+    @classmethod
+    def reset(cls):
+        cls.calls = cls.spelled_apart = 0
+        cls.made = []
+
+    @classmethod
+    def subtractions(cls):
+        running = sum(last - t for s in cls.made for t, last in enumerate(s.upto))
+        return running + cls.spelled_apart
 
     def spell(self, t, i):
-        CountingScorer.subtractions += i - t
+        last = self.upto[t]
+        CountingScorer.spelled_apart += i - last if last <= i else i - t
         return super().spell(t, i)
 
     def wholes(self):
-        CountingScorer.subtractions += len(self.logs)
+        CountingScorer.spelled_apart += len(self.logs)
         return super().wholes()
+
+
+@pytest.fixture
+def counting(monkeypatch):
+    """CountingScorer, reset and built by every search."""
+    monkeypatch.setattr(segmenter, "UtteranceScorer", CountingScorer)
+    CountingScorer.reset()
+    return CountingScorer
 
 
 def trained_on_synthetic308():
@@ -541,23 +559,25 @@ def trained_on_synthetic308():
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
-def test_novel_scan_reads_few_cells_per_column_on_a_line_of_lexicon_words(order, monkeypatch):
+def test_novel_scan_reads_few_cells_per_column_on_a_line_of_lexicon_words(order, counting):
     # each column's scan stops where one longer novel word beats every start
     # to its left, so on a line of lexicon words it reads a few cells per
-    # column at any length, and the windows spell only those: a few
-    # subtractions per phoneme, where the whole spelling matrix took n/2
+    # column at any length, and the running spellings spell only those: a
+    # few subtractions per phoneme, where the whole spelling matrix took
+    # n/2.  Pinned: per-column spelling windows took 1,048 / 3,952, 1,445 /
+    # 5,599 and 1,473 / 5,753 at orders 1, 2 and 3
     t, lines = trained_on_synthetic308()
     text = "".join(lines).replace(" ", "")
-    monkeypatch.setattr(segmenter, "UtteranceScorer", CountingScorer)
-    for n in (200, 800):
-        CountingScorer.subtractions = 0
+    pinned = {1: (177, 662), 2: (580, 2305), 3: (619, 2403)}[order]
+    for n, count in zip((200, 800), pinned):
+        counting.reset()
         seg, _ = segment(t, text[:n], LearnerConfig(order))
         assert "".join(seg.words) == text[:n]
-        assert n <= CountingScorer.subtractions <= 16 * n, (n, CountingScorer.subtractions / n)
+        assert counting.subtractions() == count <= 16 * n, (n, counting.subtractions())
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
-def test_cost_test_stops_the_scan_where_a_lexicon_word_ends_at_every_start(order, monkeypatch):
+def test_cost_test_stops_the_scan_where_a_lexicon_word_ends_at_every_start(order, counting):
     # on a line of the one-phoneme lexicon word "a" a lexicon word ends at
     # every start, so a stop that asked for a novel reading at its start
     # would never fire; the key stop asks nothing of the start and ends
@@ -566,36 +586,33 @@ def test_cost_test_stops_the_scan_where_a_lexicon_word_ends_at_every_start(order
     t = CountTables()
     for _ in range(20):
         t.commit(["a"])
-    monkeypatch.setattr(segmenter, "UtteranceScorer", CountingScorer)
-    CountingScorer.subtractions = 0
     seg, _ = segment(t, "a" * 300, LearnerConfig(order))
     assert seg.words == ("a",) * 300
-    assert CountingScorer.subtractions <= 16 * 300, CountingScorer.subtractions
+    assert counting.subtractions() <= 16 * 300, counting.subtractions()
 
 
 @pytest.mark.parametrize("order", [2, 3])
-def test_walk_spells_few_cells_from_scratch(order, monkeypatch):
+def test_walk_spells_few_cells_from_scratch(order, counting):
     # a line of lexicon words with a random novel word every 146 phonemes:
     # the walk scans the starts of the word before each of those, and must
-    # not spell the starts left of a window from scratch one by one (a walk
-    # without its stop tests took ~1,480 subtractions per phoneme here); it
-    # stops where no start further left can reach the score
+    # not spell every one whose running spelling has passed the word's end
+    # from scratch (a walk without its stop tests took ~1,480 subtractions
+    # per phoneme here); it stops where no start further left can reach the
+    # score
     t, lines = trained_on_synthetic308()
     text = "".join(lines).replace(" ", "")
     rng = random.Random(146)
     symbols = default_inventory().symbols
     u = "".join(text[k:k + 140] + "".join(rng.choices(symbols, k=6))
                 for k in range(0, 1000, 140))[:1000]
-    monkeypatch.setattr(segmenter, "UtteranceScorer", CountingScorer)
-    CountingScorer.subtractions = 0
     seg, _ = segment(t, u, LearnerConfig(order))
     assert "".join(seg.words) == u
     assert sum(w not in t.unigrams for w in seg.words) >= 5
-    assert len(u) <= CountingScorer.subtractions <= 40 * len(u), CountingScorer.subtractions
+    assert len(u) <= counting.subtractions() <= 40 * len(u), counting.subtractions()
 
 
 @pytest.mark.parametrize("order, ceiling", [(2, 1500), (3, 1910)])
-def test_lexicon_readings_call_the_chain_at_most_once(order, ceiling, monkeypatch):
+def test_lexicon_readings_call_the_chain_at_most_once(order, ceiling, counting):
     # on 1,000 phonemes of lexicon words each lexicon reading costs one
     # lookup and at most one chain call: bi only for a seen bigram, as an
     # unseen one adds uni(word) - e2, and tri only for a seen trigram, as an
@@ -603,11 +620,9 @@ def test_lexicon_readings_call_the_chain_at_most_once(order, ceiling, monkeypatc
     # bi for every pair and tri for every split took 1,742 and 2,031 calls
     t, lines = trained_on_synthetic308()
     u = "".join(lines).replace(" ", "")[:1000]
-    monkeypatch.setattr(segmenter, "UtteranceScorer", CountingScorer)
-    CountingScorer.calls = 0
     seg, _ = segment(t, u, LearnerConfig(order))
     assert "".join(seg.words) == u
-    assert CountingScorer.calls <= ceiling, CountingScorer.calls
+    assert counting.calls <= ceiling, counting.calls
 
 
 def test_learn_loop_leaves_no_garbage_cycles():
@@ -653,10 +668,10 @@ def segment_peak(t, u, order):
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_long_line_memory_per_n_squared(order):
     # on a line of random phonemes a column's novel cells lie within a gap of
-    # each other, so the scans read, and the windows keep, much of every
-    # column; the searches store lexicon cells only, so one long line costs
-    # little more than those spelling scores at every order.  Dense per-cell
-    # matrices took ~37 and ~54 bytes per n^2 at orders 2 and 3
+    # each other, so the scans read much of every column; the searches store
+    # lexicon cells only and one running spelling per start, ~1 byte per n^2
+    # here.  Dense per-cell matrices took ~37 and ~54 bytes per n^2 at
+    # orders 2 and 3
     t, _ = trained_on_synthetic308()
     u = "".join(random.Random(300).choices(default_inventory().symbols, k=300))
     peak = segment_peak(t, u, order)
@@ -664,62 +679,84 @@ def test_long_line_memory_per_n_squared(order):
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
-def test_random_line_spells_no_more_than_a_spelling_matrix(order, monkeypatch):
-    # on a line of random phonemes the scans read much of every column, so
-    # the windows save little; a start left of a trimmed window is spelled
-    # from scratch, and the walk must not do so for every start of a word
-    # whose score the one-word reading reaches (it took 1.14 n(n+1)/2 at
-    # order 3 here before the walk tested that start first)
+def test_random_line_spells_no_more_than_a_spelling_matrix(order, counting):
+    # on a line of random phonemes the scans read much of every column; the
+    # walk spells from scratch a start whose running spelling has passed
+    # the word's end, and must not do so for every start of a word whose
+    # score the one-word reading reaches (it took 1.14 n(n+1)/2 at order 3
+    # here before the walk tested that start first)
     t, _ = trained_on_synthetic308()
     u = "".join(random.Random(300).choices(default_inventory().symbols, k=300))
-    monkeypatch.setattr(segmenter, "UtteranceScorer", CountingScorer)
-    CountingScorer.subtractions = 0
     seg, _ = segment(t, u, LearnerConfig(order))
     n = len(u)
     assert "".join(seg.words) == u
-    assert CountingScorer.subtractions <= n * (n + 1) // 2 + 4 * n, CountingScorer.subtractions
+    assert counting.subtractions() <= n * (n + 1) // 2 + 4 * n, counting.subtractions()
 
 
-def test_order2_key_stop_ends_the_scans_on_a_random_line(monkeypatch):
+def test_order2_key_stop_ends_the_scans_on_a_random_line(counting):
     # at order 2 each column reads the one-word reading first, and on a line
     # of random phonemes that reading is the column's best novel cell: the
     # least key lies above the bound it sets, so the scan stops a few starts
-    # in.  A scan down to start 1 builds every window whole: 45,450
-    # subtractions, n(n+1)/2 + n
+    # in.  A scan down to start 1 spells n(n-1)/2 cells, 44,850, plus the n
+    # whole-word scores
     t, _ = trained_on_synthetic308()
     u = "".join(random.Random(300).choices(default_inventory().symbols, k=300))
-    monkeypatch.setattr(segmenter, "UtteranceScorer", CountingScorer)
-    CountingScorer.subtractions = 0
     seg, _ = segment(t, u, LearnerConfig(2))
     assert "".join(seg.words) == u
-    assert CountingScorer.subtractions <= 16 * len(u), CountingScorer.subtractions
+    assert counting.subtractions() <= 16 * len(u), counting.subtractions()
 
 
-def test_order1_lexicon_bar_leaves_the_window_whole_on_random_phonemes(monkeypatch):
+def test_order1_running_spellings_catch_up_on_random_phonemes(counting):
     # on random phonemes a lexicon word that ends by chance can hold its
     # column's minimum and stop the scan at once without lowering the least
     # key, while the next column scans the plateau of novel cells far to
-    # the left; a window trimmed there is spelled again from scratch, start
-    # by start: 23,545 subtractions here, against 8,019 when such a stop
-    # keeps the window whole
+    # the left.  Each start's running spelling catches up across the
+    # columns that skipped it, so none is spelled again from scratch: a
+    # per-column window trimmed at such a stop took 23,545 subtractions
+    # here, and one kept whole 8,019
     t, _ = trained_on_synthetic308()
     u = "".join(random.Random(300).choices(default_inventory().symbols, k=300))
-    monkeypatch.setattr(segmenter, "UtteranceScorer", CountingScorer)
-    CountingScorer.subtractions = 0
     seg, _ = segment(t, u, LearnerConfig(1))
     n = len(u)
     assert "".join(seg.words) == u
-    assert CountingScorer.subtractions <= n * (n + 1) // 4, CountingScorer.subtractions
+    assert counting.subtractions() == 6729 <= n * (n + 1) // 4, counting.subtractions()
+
+
+@pytest.mark.parametrize("order, pinned", [(1, 5180), (2, 12615), (3, 17533)])
+def test_incremental_stream_spells_a_pinned_count(order, pinned, counting):
+    # the learn loop over synthetic308.txt, 3,047 phonemes in corpus-length
+    # utterances, where a scan reads nearly every start of a column: each
+    # start's spelling advances one subtraction per column it moves on,
+    # plus the n whole-word scores at orders 2 and 3.  Per-column spelling
+    # windows took 20,701, 25,194 and 26,334
+    lines = (ROOT / "tests" / "fixtures" / "synthetic308.txt").read_text().splitlines()
+    t = CountTables()
+    for line in lines:
+        process_utterance(t, line.replace(" ", ""), LearnerConfig(order))
+    assert counting.subtractions() == pinned, counting.subtractions()
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_long_line_memory_linear_on_lexicon_words(order):
-    # on a line of lexicon words each column's window holds the few cells
-    # its scan reads, so memory grows about linearly: 8 times the length
-    # takes ~8 times the peak (a spelling matrix took 64 times), ~270-840
-    # bytes per phoneme at orders 1-3 (tracemalloc, CPython 3.11)
+    # on a line of lexicon words memory grows about linearly: 8 times the
+    # length takes ~8-9 times the peak (a spelling matrix took 64 times),
+    # ~320-640 bytes per phoneme at orders 1-3 (tracemalloc, CPython 3.11)
     t, lines = trained_on_synthetic308()
     text = "".join(lines).replace(" ", "")
     short, long = (segment_peak(t, text[:n], order) for n in (300, 2400))
     assert long <= 16 * short, long / short
     assert long <= 1500 * 2400, long / 2400
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_long_line_memory_linear_on_random_phonemes(order):
+    # on a line of random phonemes the scans read far into each column, but
+    # each start keeps one running spelling, so memory grows about linearly:
+    # 4 times the length takes ~4.2 times the peak, ~290-320 bytes per
+    # phoneme at order 3 (tracemalloc, CPython 3.11).  Per-column spelling
+    # windows took 0.46 and 8.95 MB at order 3 here, ~7,500 bytes per phoneme
+    t, _ = trained_on_synthetic308()
+    u = "".join(random.Random(300).choices(default_inventory().symbols, k=1200))
+    short, long = (segment_peak(t, u[:n], order) for n in (300, 1200))
+    assert long <= 6 * short, long / short
+    assert long <= 1000 * 1200, long / 1200
