@@ -36,7 +36,7 @@ the cell is B(t) + h + P(i) - P(t) - E = K(t) + c(i), with the key
 K(t) = B(t) - wholes[t] and c(i) = wholes[i] + h - E.  Each search keeps
 keys[j], the least K(t) over 1 <= t <= j, and s, the running minimum of
 the column's novel cells (of all its cells at order 1, which scores its
-lexicon cells and start 0 first; order 2 reads its one-word reading first).
+lexicon cells and start 0 first), seeded at orders 2 and 3 as below.
 The scan stops, before reading j, at the first j with keys[j] > s * grow +
 wholes[i] * (grow - 2) - (h - E), s - c(i) plus a margin
 (grow - 1)(s + wholes[i]): no start t <= j can win or tie, as each scores
@@ -49,6 +49,37 @@ margin is absolute.  The key, the bound and a cell below 2s (one above
 loses anyway) lose at most (t + 2), (i + 6) and 2(n + 4) times
 2^-53 (s + wholes[i]), less than the margin 8(n + 8) 2^-53 (s + wholes[i])
 for any n below 2^45.
+
+Orders 2 and 3 seed s from a reading R that dominates every novel last
+word: after the next word w the two share a history, and up to there R
+adds at most d more.  So a novel cell above the seed, R + d plus a margin,
+never scores a later cell below R's reading: novel[i] is exact below the
+seed and holds the seed where no novel cell lies below it.  Order 2 scores
+its lexicon cells first and takes R = b, the least of them, and
+d = D = ln(N2 S1 / S2), so ending[i] and the keys stay exact.  A novel
+word and a lexicon one L score every next word w alike but where L, w is
+a seen bigram, and there bi(L, w) - (uni(w) - e2) = ln(N2 / S2) +
+ln(C(L) / C(L, w)) - uni(w) <= D - uni(w), as C(L) <= S1; so
+bi(L, w) <= D - e2.  The margin is relative to where the two merge,
+b + bi(L, w) <= b + D - e2.  A log of a correctly rounded ratio is off by
+at most 2^-52 of itself plus 2^-53, so the three terms are off by at most
+3 * 2^-53 of themselves plus 2^-52; with the two sums and the seed's three
+roundings that is at most (6b + 11D - 8e2 + 5) 2^-53 (uni(w) - e2 pays for
+its own error out of the - uni(w) above), less than the margin
+(grow - 1)(b + 2D - e2) >= 72 * 2^-53 (b + 2D - e2), as
+D - e2 = ln(S1 (N2 + S2) / S2) >= ln 2.  Order 3 takes, where u[:i] is
+outside the lexicon, R = firsts[i], u[:i] read alone: the next word w adds
+uni(w) - e2 after it and uni(w) - e2 - e3 after a novel last word, as no
+trigram with a novel word is seen, so d = e3 <= 0; d = 0 at i = n, with no
+next word.  A lexicon u[:i] may form a seen bigram, so it seeds nothing.
+The seed may stand in ending[i] too, but a novel word x after it still
+takes firsts[i] + bi("", x), the lesser term, and the key
+min(firsts[i], ending[i] - e3) keeps firsts[i].  The two readings add the
+same terms grouped otherwise, so only roundings count, five of them, each
+at most 2^-53 of the merge.  A novel next word spells at most
+wholes[n] - wholes[i] + h and a lexicon one scores at most ln(N1 + S1), so
+every merge lies below W = wholes[n] + (h - e1 - e2) - e1 - e3 +
+ln(N1 + S1), and the margin is (grow - 1) W.
 
 Only lexicon cells are stored, one dict per column, and one running
 spelling per start, the scorer's spelled[t], u[t:upto[t]]'s spelling score
@@ -70,17 +101,23 @@ unsplit candidate is examined first and split points are visited left to
 right: at equal score the candidate keeping the whole remaining span as
 one word survives.  Order 1 keeps the leftmost minimum: its lexicon cells,
 left to right, win on `<`, start 0 on `<=`, then its novel cells, from the
-right, on `<` or on a tie left of the split held.  Orders 2 and 3 store no
-back-pointers: `_walk_back` takes, from the end, the first start of the
+right, on `<` or on a tie left of the split held.  Orders 2 and 3 keep
+no back-pointers: `_walk_back` takes, from the end, the first start of the
 word before that reaches the cell's score, rounding near-ties included.
-Each lexicon start comes as plain data, its value and its reach with its
-own bi or tri term; one helper per search recomputes any other cell,
-skipped or not, with the forward pass's own expression.  Every other start
-adds one shared term c to a reading whose best value the forward pass
-stored, so by the monotone rounding above they are scanned only when that
-best value plus c reaches the score T.  At order 3 the first word read
-alone is one of them when it is outside the lexicon (a lexicon one may form
-a seen bigram, with its own term); as fl(min(a, b) + c) =
+Order 2 records, per lexicon cell, the first lexicon start whose candidate
+equals the cell's final score: it is set on `<`, and on `==` while none is
+set.  The candidate is the float the walk would compute as that start's
+reach, value + (bi(w1, word) if seen else base), and the walk's target is
+the stored score, so for a lexicon word the walk reads the record and
+recomputes no term; for a novel word, or the last word, every lexicon start
+adds one shared term, and it scans the lexicon cells for the first to reach.
+Order 3's helper scores each lexicon start with its own tri or bi term and
+stops at the first to reach.  Every other start adds one shared term c to
+a reading at or above novel[j], equal to the best such reading where that
+lies below the seed, so by the monotone rounding above they are scanned
+only when novel[j] plus c reaches the score T.  At order 3 the first word
+read alone is one of them when it is outside the lexicon (a lexicon one
+may form a seen bigram, with its own term); as fl(min(a, b) + c) =
 min(fl(a + c), fl(b + c)), one bound covers it and novel[j].  The one-word
 reading, the leftmost start, is tested first.  The rest are scanned from
 the first lexicon start that reached T leftwards, keeping the last to reach
@@ -180,9 +217,9 @@ def segment(tables: CountTables, u: str, cfg: LearnerConfig) -> tuple[Segmentati
     if cfg.order == 1:
         words, score = _search_unigram(scorer, u, limit)
     elif cfg.order == 2:
-        words, score = _search_bigram(scorer, u, limit, tables.bigrams)
+        words, score = _search_bigram(scorer, u, limit, tables)
     else:
-        words, score = _search_trigram(scorer, u, limit, tables.bigrams, tables.trigrams)
+        words, score = _search_trigram(scorer, u, limit, tables)
     return Segmentation(u, tuple(words)), score
 
 
@@ -236,25 +273,55 @@ def _search_unigram(scorer, u, limit):
     return out[::-1], best[n]
 
 
-def _search_bigram(scorer, u, limit, bigrams):
+def _search_bigram(scorer, u, limit, tables):
     n = len(u)
     uni, bi, starts = scorer.uni, scorer.bi, scorer.starts
     logs, spelled, upto = scorer.logs, scorer.spelled, scorer.upto
     escape1, escape2, _ = scorer.escapes
-    grow, wholes = scorer.grow, scorer.wholes()
+    grow, wholes, bigrams = scorer.grow, scorer.wholes(), tables.bigrams
     shrink, fixed = grow - 2.0, scorer.head - escape1 - escape2
+    # the novel scan's seed above the best lexicon cell: the excess
+    # ln(N2 S1 / S2) and its rounding margin (module docstring)
+    excess = math.log(len(bigrams) * tables.s1 / tables.s2) if tables.s2 else 0.0
+    lift = excess * grow + (excess - escape2) * (grow - 1.0)
     # cells[i][j]: best score for u[:i] whose last word is the lexicon word
     # u[j:i], for each j < limit[i] in starts[i], in the same order; j == 0
-    # is the single-word reading, scored as a first word.  novel[i]: the best
-    # reading of u[:i] whose last word is outside the lexicon, which all
-    # score the next word alike; ending[i]: the best reading of u[:i];
-    # keys[i]: the least key up to i.
-    cells = [{}]
+    # is the single-word reading, scored as a first word.  records[i][j]: the
+    # first lexicon start of the word before whose reading reaches that
+    # score, j for none.  novel[i]: the best reading of u[:i] whose last
+    # word is outside the lexicon, which all score the next word alike, exact
+    # below the seed; ending[i]: the best reading of u[:i]; keys[i]: the
+    # least key up to i.
+    cells, records = [{}], [{}]
     novel, ending, keys, least = [_INF] * (n + 1), [_INF] * (n + 1), [_INF] * (n + 1), _INF
     for prev, log_i in enumerate(logs):
         i = prev + 1
         here, lim, whole = starts[i], limit[i], wholes[i]
+        # no lexicon cell, no record: share starts[i]'s empty, never-written dict
+        top, lexical, record = _INF, {}, {} if here else here
+        for j, word in here.items():
+            if j >= lim:
+                break
+            alone = uni(word)
+            base = alone - escape2  # bi(w1, word) for every unseen pair
+            score, k = novel[j] + base if j else alone, j
+            # the lexicon cells of column j are the first of starts[j]
+            for (t, w1), value in zip(starts[j].items(), cells[j].values()):
+                cand = value + (bi(w1, word) if (w1, word) in bigrams else base)
+                if cand < score:
+                    score, k = cand, t
+                elif cand == score and k == j:
+                    k = t
+            lexical[j] = score
+            record[j] = k
+            if score < top:
+                top = score
+        cells.append(lexical)
+        records.append(record)
         shared = whole - escape1 if lim and 0 not in here else _INF  # uni(u[:i]) first
+        seed = top * grow + lift
+        if seed < shared:
+            shared = seed
         floor = whole * shrink - fixed
         bar = shared * grow + floor
         for j in range(lim - 1, 0, -1):
@@ -271,54 +338,48 @@ def _search_bigram(scorer, u, limit, bigrams):
                 if score < shared:
                     shared = score
                     bar = score * grow + floor
-        top = shared
-        lexical = {}
-        for j, word in here.items():
-            if j >= lim:
-                break
-            alone = uni(word)
-            base = alone - escape2  # bi(prev, word) for every unseen pair
-            score = novel[j] + base if j else alone
-            # the lexicon cells of column j are the first of starts[j]
-            for prev, value in zip(starts[j].values(), cells[j].values()):
-                cand = value + (bi(prev, word) if (prev, word) in bigrams else base)
-                if cand < score:
-                    score = cand
-            lexical[j] = score
-            if score < top:
-                top = score
-        cells.append(lexical)
         novel[i] = shared
+        if shared < top:
+            top = shared
         ending[i] = top
         if top - whole < least:
             least = top - whole
         keys[i] = least
 
-    walk = cells, novel, ending, scorer.spell, wholes, starts, uni, bi, bigrams, escape1, escape2
+    walk = cells, records, novel, ending, scorer.spell, wholes, starts, uni, escape1, escape2
 
-    def step(j, i, word, v):
-        cells, novel, _, _, wholes, starts, uni, bi, bigrams, escape1, escape2 = walk
+    def step(j, i, word, v, target):
+        cells, records, novel, _, _, wholes, starts, uni, escape1, escape2 = walk
         base = uni(word) - escape2 if word else 0.0  # bi("", word)
-        lexical = []
-        for (t, prev), value in zip(starts[j].items(), cells[j].values()):
-            term = bi(prev, word) if (prev, word) in bigrams else base
-            lexical.append((t, value + term, value))
-        return lexical, wholes[j] - escape1, 0.0, base, novel[j] + base
+        if word and j in starts[i]:  # a lexicon word: its cell's record
+            k = records[i][j]
+        else:  # every lexicon start adds base
+            k = j
+            for t, value in cells[j].items():
+                if value + base == target:
+                    k = t
+                    break
+        return k, cells[j].get(k), wholes[j] - escape1, 0.0, base, novel[j] + base
 
     def cell(t, j):
-        _, _, ending, spell, _, _, _, _, _, escape1, escape2 = walk
+        _, _, _, ending, spell, _, _, _, escape1, escape2 = walk
         return ending[t] + (spell(t, j) - escape1 - escape2)
 
     return _walk_back(u, ending[n], starts, keys, wholes, fixed, grow, step, cell)
 
 
-def _search_trigram(scorer, u, limit, bigrams, trigrams):
+def _search_trigram(scorer, u, limit, tables):
     n = len(u)
     uni, bi, tri, starts = scorer.uni, scorer.bi, scorer.tri, scorer.starts
     logs, spelled, upto = scorer.logs, scorer.spelled, scorer.upto
     escape1, escape2, escape3 = scorer.escapes
-    grow, wholes = scorer.grow, scorer.wholes()
+    grow, wholes, bigrams, trigrams = scorer.grow, scorer.wholes(), tables.bigrams, tables.trigrams
     shrink, fixed = grow - 2.0, scorer.head - escape1 - escape2
+    # the novel scan's seed less a first word read alone: e3 and a rounding
+    # margin over every score the two can merge at (module docstring)
+    reach = len(tables.unigrams) + tables.s1
+    offset = escape3 + (grow - 1.0) * (wholes[n] + fixed - escape1 - escape3
+                                       + (math.log(reach) if reach else 0.0))
     # Pair (j, i) stands for the readings of u[:i] in two or more words
     # whose last word is u[j:i].  For a lexicon word u[j:i], j < limit[i],
     # cells[i][j] = (best, rest, split): best is the best of those readings;
@@ -334,8 +395,16 @@ def _search_trigram(scorer, u, limit, bigrams, trigrams):
     for prev, log_i in enumerate(logs):
         i = prev + 1
         here, lim, whole = starts[i], limit[i], wholes[i]
-        shared = bar = _INF
+        shared = _INF
+        if lim:
+            if 0 in here:
+                firsts[i] = uni(here[0])
+            else:  # u[:i] alone outside the lexicon seeds the scan
+                firsts[i] = shared = whole - escape1
+                if i < n:
+                    shared += offset
         floor = whole * shrink - fixed
+        bar = shared * grow + floor
         for j in range(lim - 1, 0, -1):
             if keys[j] > bar:
                 break
@@ -398,8 +467,6 @@ def _search_trigram(scorer, u, limit, bigrams, trigrams):
         cells.append(lexical)
         novel[i] = shared
         ending[i] = overall
-        if lim:
-            firsts[i] = uni(here[0]) if 0 in here else whole - escape1
         late = overall - escape3
         key = (firsts[i] if firsts[i] < late else late) - whole
         if key < least:
@@ -409,7 +476,7 @@ def _search_trigram(scorer, u, limit, bigrams, trigrams):
     walk = (cells, novel, ending, firsts, scorer.spell, starts, uni, bi, tri, trigrams,
             escape1, escape2, escape3)
 
-    def step(j, i, word, v):
+    def step(j, i, word, v, target):
         cells, novel, _, firsts, _, starts, uni, bi, tri, trigrams, _, escape2, escape3 = walk
         # for the last word (None) a start's value is its best reading, u[t:j] last
         pair = cells[i][j][2] if word and j in cells[i] else {}
@@ -419,7 +486,7 @@ def _search_trigram(scorer, u, limit, bigrams, trigrams):
         other = bi(word, v) - escape3 if v else 0.0
         opening = firsts[j] + base
         others = novel[j] + added
-        before, here, lexical = starts[j], cells[j], []
+        before, here = starts[j], cells[j]
         if 0 not in before and opening < others:
             others = opening
         for t, prev in before.items():
@@ -431,9 +498,9 @@ def _search_trigram(scorer, u, limit, bigrams, trigrams):
                 value = here[t][0] + added
             else:  # at or past the start bound
                 break
-            term = tri(prev, word, v) if (prev, word, v) in trigrams else other
-            lexical.append((t, value + term, value))
-        return lexical, opening, added, other, others + other
+            if value + (tri(prev, word, v) if (prev, word, v) in trigrams else other) == target:
+                return t, value, opening, added, other, others + other
+        return j, None, opening, added, other, others + other
 
     def cell(t, j):
         _, _, ending, firsts, spell, _, _, _, _, _, escape1, escape2, escape3 = walk
@@ -449,17 +516,19 @@ def _search_trigram(scorer, u, limit, bigrams, trigrams):
 def _walk_back(u, score, starts, keys, wholes, fixed, grow, step, cell):
     """The winning path's words and the best score, ties broken as above.
 
-    step(j, i, word, v) gives, for the word u[j:i] with next word v,
-    (lexical, opening, added, shared, bound): lexical holds (t, reach,
-    value) for each stored lexicon start t of the word before, in order,
-    value the best reading ending in u[t:j], u[j:i] and reach that plus
-    v's term.  Any other start t > 0 has the value cell(t, j) + added,
-    the one-word reading opening, and reaches that plus shared; bound is
-    the least of those reaches.  step(n, None, None, None) picks the last
-    word, with terms of 0.0.  cell(t, j) recomputes a novel cell with the
-    forward pass's expression; at or past the start bound that is no
-    reading at all, but such a t never decides: the start chosen lies
-    before it, and only the first to reach the score is taken.  keys,
+    step(j, i, word, v, target) gives, for the word u[j:i] with next word
+    v, whose reading scores target, (k, found, opening, added, shared,
+    bound): k is the first stored lexicon start of the word before whose
+    reading reaches target, found that reading's value, the best ending in
+    u[k:j], u[j:i], and (j, None) where none reaches.  Any other start
+    t > 0 has the value cell(t, j) + added, the one-word reading opening,
+    and reaches that plus shared; bound lies between target and the least
+    of those reaches, and is that least where novel[j] is exact (module
+    docstring).  step(n, None, None, None, score) picks the last word, with
+    terms of 0.0.  cell(t, j) recomputes a novel cell with the forward
+    pass's expression; at or past the start bound that is no reading at
+    all, but such a t never decides: the start chosen lies before it, and
+    only the first to reach the score is taken.  keys,
     wholes, fixed = h - E and grow serve the key stop.  The helpers read
     the search's tables from one tuple, `walk`, that holds neither of
     them: closing over the tables makes them slower cell variables, and a
@@ -469,14 +538,9 @@ def _walk_back(u, score, starts, keys, wholes, fixed, grow, step, cell):
     target, j, out = score, len(u), []
     i = word = v = None
     while j:
-        lexical, opening, added, shared, bound = step(j, i, word, v)
-        before = starts[j]
-        k = j
-        for t, reach, value in lexical:
-            if reach == target:
-                k, found = t, value
-                break
+        k, found, opening, added, shared, bound = step(j, i, word, v, target)
         if bound == target:
+            before = starts[j]
             if 0 not in before and opening + shared == target:
                 k, found = 0, opening
             else:  # from the right, down to the key stop
