@@ -1,14 +1,15 @@
 """Differential sweep: do two source trees segment alike, bit for bit?
 
     python3 tools/diff_sweep.py OLD NEW
-    python3 tools/diff_sweep.py OLD NEW --seeds 1 --orders 1 2 3 --utterances 500
+    python3 tools/diff_sweep.py OLD NEW --orders 1 2 3
 
 OLD and NEW are checkouts of this repository.  Each tree's `src/segdisc` is
 imported under its own package name, so both run in one process on inputs
 built once.  The inputs come from NEW's `perfbench/corpusgen.py`: for every
-seed, phoneme mode, vowel rule (off, on) and order, the sweep compares
+seed in SEEDS, phoneme mode, vowel rule (off, on) and order (--orders, 2 and
+3 by default), the sweep compares
 
-* the first --utterances utterances of the corpus, segmented and committed
+* the first UTTERANCES utterances of the corpus, segmented and committed
   in turn on fresh tables (the incremental learn loop);
 * on tables trained on the whole corpus, each stress utterance, the stress
   set joined into one line, and lines of 50, 300 and 800 random phonemes
@@ -28,6 +29,8 @@ import random
 import sys
 from pathlib import Path
 
+SEEDS = (1, 2)
+UTTERANCES = 3000
 RANDOM_LENGTHS = (50, 300, 800)
 
 
@@ -42,11 +45,11 @@ def load(tree: Path, name: str):
     return module
 
 
-def lines(package, generated, mode, vowel, order, utterances):
+def lines(package, generated, mode, vowel, order):
     """(label, words, score hex) for every line of one setting of the grid."""
     cfg = package.LearnerConfig(order=order, phoneme_mode=mode, require_vowel=vowel)
     tables = package.CountTables()
-    for k, words in enumerate(generated.utterances[:utterances]):
+    for k, words in enumerate(generated.utterances[:UTTERANCES]):
         seg, score = package.segment(tables, "".join(words), cfg)
         tables.commit(seg.words, mode)
         yield f"incremental utterance {k}", seg.words, score.hex()
@@ -68,9 +71,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old", type=Path)
     parser.add_argument("new", type=Path)
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
     parser.add_argument("--orders", type=int, nargs="+", default=[2, 3])
-    parser.add_argument("--utterances", type=int, default=3000)
     args = parser.parse_args(argv)
     old, new = load(args.old, "segdisc_old"), load(args.new, "segdisc_new")
     # corpusgen imports `segdisc`: let it find NEW's
@@ -79,14 +80,14 @@ def main(argv=None) -> int:
     import corpusgen
 
     checked = 0
-    for seed in args.seeds:
+    for seed in SEEDS:
         generated = corpusgen.generate(seed)
         for mode in new.PhonemeMode:
             for vowel in (False, True):
                 for order in args.orders:
                     setting = f"seed {seed}, order {order}, {mode.value} mode, vowel rule {vowel}"
-                    pairs = zip(lines(old, generated, mode.value, vowel, order, args.utterances),
-                                lines(new, generated, mode.value, vowel, order, args.utterances))
+                    pairs = zip(lines(old, generated, mode.value, vowel, order),
+                                lines(new, generated, mode.value, vowel, order))
                     for (label, *a), (_, *b) in pairs:
                         if a != b:
                             print(f"checked {checked} segmentations; first difference: "
