@@ -50,6 +50,17 @@ loses anyway) lose at most (t + 2), (i + 6) and 2(n + 4) times
 2^-53 (s + wholes[i]), less than the margin 8(n + 8) 2^-53 (s + wholes[i])
 for any n below 2^45.
 
+Each search also keeps own[t], start t's own key, whose running minimum is
+keys[t], and a skip link lower[t], the nearest start left of t with a
+smaller own key, or 0.  Column t sets it when it closes by following the
+links from t - 1 past every start whose own key is at or above own[t]; a
+start passed so is never passed again, so the links cost O(n) in all.  A
+start j with own[j] above the bar loses, by the key stop's argument applied
+to j alone, and so does every start it links past, whose own key is at or
+above own[j]; the bar only falls within a scan, so the scan jumps to
+lower[j], unless keys[j] too lies above the bar and it stops.  No margin is
+added: each skipped start is held to the same bar as the key stop.
+
 Orders 2 and 3 seed s from a reading R that dominates every novel last
 word: after the next word w the two share a history, and up to there R
 adds at most d more.  So a novel cell above the seed, R + d plus a margin,
@@ -85,8 +96,9 @@ Only lexicon cells are stored, one dict per column, and one running
 spelling per start, the scorer's spelled[t], u[t:upto[t]]'s spelling score
 before the escape term.  A scan reads u[t:i] with one subtraction,
 spelled[t] - logs[i-1], where upto[t] = i - 1; a start that earlier columns
-skipped (a lexicon start, one past the stop or the start bound) catches up
-over logs[upto[t]:i].  It then stores the score and sets upto[t] = i.
+skipped (a lexicon start, one jumped over, one past the stop or the start
+bound) catches up over logs[upto[t]:i].  It then stores the score and sets
+upto[t] = i.
 Spelling is one left-to-right chain of subtractions from h, so every score
 is bit-identical to word_score's however it is reached, a start costs one
 subtraction per column it moves on, and memory is O(n) on every line.  A
@@ -121,9 +133,10 @@ may form a seen bigram, with its own term); as fl(min(a, b) + c) =
 min(fl(a + c), fl(b + c)), one bound covers it and novel[j].  The one-word
 reading, the leftmost start, is tested first.  The rest are scanned from
 the first lexicon start that reached T leftwards, keeping the last to reach
-T, down to the key stop with i = j and s = T * grow - d - c, d the word's
-own term: a reach is cell + d + c, and s keeps a margin (grow - 1) T of
-its own, for its three roundings relative to T and the reach's two.
+T, with the jumps and down to the key stop, with i = j and s = T * grow -
+d - c, d the word's own term: a reach is cell + d + c, and s keeps a
+margin (grow - 1) T of its own, for its three roundings relative to T and
+the reach's two.
 cell(t, j) continues t's running spelling where upto[t] <= j and spells
 u[t:j] from scratch, with the same chain, where the forward pass has
 moved it past j.
@@ -230,7 +243,9 @@ def _search_unigram(scorer, u, limit):
     grow, whole = scorer.grow, scorer.head
     shrink, fixed = grow - 2.0, whole - escape1
     best, back, keys, least = [0.0] * (n + 1), [0] * (n + 1), [_INF] * (n + 1), _INF
-    # keys[i]: least key up to i; whole: wholes()[i], with no list (it lifted peak RSS)
+    own, lower = [-_INF] * (n + 1), [0] * (n + 1)  # own[0] = -inf ends every link chain
+    # keys[i]: least key up to i; own[i], lower[i]: i's own key and skip link;
+    # whole: wholes()[i], with no list (it lifted peak RSS)
     for prev, log_i in enumerate(logs):
         i = prev + 1
         here, lim, whole = starts[i], limit[i], whole - log_i
@@ -248,9 +263,13 @@ def _search_unigram(scorer, u, limit):
                 score, split = cand, 0
         floor = whole * shrink - fixed
         bar = score * grow + floor
-        for j in range(lim - 1, 0, -1):
-            if keys[j] > bar:
-                break
+        j = lim - 1
+        while j > 0:
+            if own[j] > bar:  # j loses, and so does every start it links past
+                if keys[j] > bar:
+                    break
+                j = lower[j]
+                continue
             if j not in here:
                 if upto[j] == prev:  # u[j:i]'s running spelling (module docstring)
                     cost = spelled[j] - log_i
@@ -261,10 +280,16 @@ def _search_unigram(scorer, u, limit):
                 if cand < score or cand == score and j < split:
                     score, split = cand, j
                     bar = cand * grow + floor
+            j -= 1
         best[i] = score
         back[i] = split
-        if score - whole < least:
-            least = score - whole
+        own[i] = key = score - whole
+        k = prev  # the nearest start to the left with a smaller own key
+        while own[k] >= key:
+            k = lower[k]
+        lower[i] = k
+        if key < least:
+            least = key
         keys[i] = least
     out, i = [], n
     while i:
@@ -291,9 +316,10 @@ def _search_bigram(scorer, u, limit, tables):
     # score, j for none.  novel[i]: the best reading of u[:i] whose last
     # word is outside the lexicon, which all score the next word alike, exact
     # below the seed; ending[i]: the best reading of u[:i]; keys[i]: the
-    # least key up to i.
+    # least key up to i; own[i], lower[i]: i's own key and skip link.
     cells, records = [{}], [{}]
     novel, ending, keys, least = [_INF] * (n + 1), [_INF] * (n + 1), [_INF] * (n + 1), _INF
+    own, lower = [-_INF] * (n + 1), [0] * (n + 1)
     for prev, log_i in enumerate(logs):
         i = prev + 1
         here, lim, whole = starts[i], limit[i], wholes[i]
@@ -324,9 +350,13 @@ def _search_bigram(scorer, u, limit, tables):
             shared = seed
         floor = whole * shrink - fixed
         bar = shared * grow + floor
-        for j in range(lim - 1, 0, -1):
-            if keys[j] > bar:
-                break
+        j = lim - 1
+        while j > 0:
+            if own[j] > bar:
+                if keys[j] > bar:
+                    break
+                j = lower[j]
+                continue
             if j not in here:
                 if upto[j] == prev:
                     cost = spelled[j] - log_i
@@ -338,12 +368,18 @@ def _search_bigram(scorer, u, limit, tables):
                 if score < shared:
                     shared = score
                     bar = score * grow + floor
+            j -= 1
         novel[i] = shared
         if shared < top:
             top = shared
         ending[i] = top
-        if top - whole < least:
-            least = top - whole
+        own[i] = key = top - whole
+        k = prev
+        while own[k] >= key:
+            k = lower[k]
+        lower[i] = k
+        if key < least:
+            least = key
         keys[i] = least
 
     walk = cells, records, novel, ending, scorer.spell, wholes, starts, uni, escape1, escape2
@@ -365,7 +401,7 @@ def _search_bigram(scorer, u, limit, tables):
         _, _, _, ending, spell, _, _, _, escape1, escape2 = walk
         return ending[t] + (spell(t, j) - escape1 - escape2)
 
-    return _walk_back(u, ending[n], starts, keys, wholes, fixed, grow, step, cell)
+    return _walk_back(u, ending[n], starts, keys, own, lower, wholes, fixed, grow, step, cell)
 
 
 def _search_trigram(scorer, u, limit, tables):
@@ -389,8 +425,10 @@ def _search_trigram(scorer, u, limit, tables):
     # novel[i] is the best pair (j, i), j >= 1, whose last word u[j:i] is
     # outside the lexicon; ending[i] is the best pair (j, i) over every
     # j >= 1; firsts[i] scores u[:i] as the first word; keys[i]: the least
-    # key up to i (module docstring).
+    # key up to i; own[i], lower[i]: i's own key and skip link (module
+    # docstring).
     cells, keys, least = [{}], [_INF] * (n + 1), _INF
+    own, lower = [-_INF] * (n + 1), [0] * (n + 1)
     novel, ending, firsts = [_INF] * (n + 1), [_INF] * (n + 1), [_INF] * (n + 1)
     for prev, log_i in enumerate(logs):
         i = prev + 1
@@ -405,9 +443,13 @@ def _search_trigram(scorer, u, limit, tables):
                     shared += offset
         floor = whole * shrink - fixed
         bar = shared * grow + floor
-        for j in range(lim - 1, 0, -1):
-            if keys[j] > bar:
-                break
+        j = lim - 1
+        while j > 0:
+            if own[j] > bar:
+                if keys[j] > bar:
+                    break
+                j = lower[j]
+                continue
             if j not in here:
                 if upto[j] == prev:
                     cost = spelled[j] - log_i
@@ -423,6 +465,7 @@ def _search_trigram(scorer, u, limit, tables):
                 if top < shared:
                     shared = top
                     bar = top * grow + floor
+            j -= 1
         overall = shared
         lexical = {}
         for j, word in here.items():
@@ -468,7 +511,11 @@ def _search_trigram(scorer, u, limit, tables):
         novel[i] = shared
         ending[i] = overall
         late = overall - escape3
-        key = (firsts[i] if firsts[i] < late else late) - whole
+        own[i] = key = (firsts[i] if firsts[i] < late else late) - whole
+        k = prev
+        while own[k] >= key:
+            k = lower[k]
+        lower[i] = k
         if key < least:
             least = key
         keys[i] = least
@@ -510,10 +557,10 @@ def _search_trigram(scorer, u, limit, tables):
         return opening if opening < late else late
 
     score = firsts[n] if firsts[n] < ending[n] else ending[n]
-    return _walk_back(u, score, starts, keys, wholes, fixed, grow, step, cell)
+    return _walk_back(u, score, starts, keys, own, lower, wholes, fixed, grow, step, cell)
 
 
-def _walk_back(u, score, starts, keys, wholes, fixed, grow, step, cell):
+def _walk_back(u, score, starts, keys, own, lower, wholes, fixed, grow, step, cell):
     """The winning path's words and the best score, ties broken as above.
 
     step(j, i, word, v, target) gives, for the word u[j:i] with next word
@@ -528,9 +575,9 @@ def _walk_back(u, score, starts, keys, wholes, fixed, grow, step, cell):
     terms of 0.0.  cell(t, j) recomputes a novel cell with the forward
     pass's expression; at or past the start bound that is no reading at
     all, but such a t never decides: the start chosen lies before it, and
-    only the first to reach the score is taken.  keys,
-    wholes, fixed = h - E and grow serve the key stop.  The helpers read
-    the search's tables from one tuple, `walk`, that holds neither of
+    only the first to reach the score is taken.  keys, own, lower, wholes,
+    fixed = h - E and grow serve the key stop and the jumps.  The helpers
+    read the search's tables from one tuple, `walk`, that holds neither of
     them: closing over the tables makes them slower cell variables, and a
     helper in the tuple a reference cycle.  A word whose score no start
     reaches, which only a wrong bound can leave, raises RuntimeError.
@@ -543,15 +590,20 @@ def _walk_back(u, score, starts, keys, wholes, fixed, grow, step, cell):
             before = starts[j]
             if 0 not in before and opening + shared == target:
                 k, found = 0, opening
-            else:  # from the right, down to the key stop
+            else:  # from the right, jumping, down to the key stop
                 bar = (target * grow - added - shared) * grow + wholes[j] * (grow - 2.0) - fixed
-                for t in range(k - 1, 0, -1):
-                    if keys[t] > bar:
-                        break
+                t = k - 1
+                while t > 0:
+                    if own[t] > bar:
+                        if keys[t] > bar:
+                            break
+                        t = lower[t]
+                        continue
                     if t not in before:
                         value = cell(t, j) + added
                         if value + shared == target:
                             k, found = t, value
+                    t -= 1
         if k == j:
             raise RuntimeError(f"no start of a word ending at {j} reaches {target!r}")
         target = found

@@ -1,9 +1,10 @@
 import os
+import random
 from pathlib import Path
 
 import pytest
 
-from segdisc import load_corpus
+from segdisc import default_inventory, load_corpus
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -25,6 +26,23 @@ def full_corpus_path():
         if candidate and Path(candidate).is_file():
             return candidate
     return None
+
+
+@pytest.fixture
+def mixed_line():
+    """mixed_line(n): n phonemes of tokens drawn by random.Random(34), each
+    with probability 0.2 a word of synthetic308.txt (any, alike) and
+    otherwise 1-12 random phonemes of the inventory."""
+    words = sorted(set(fixture_path("synthetic308.txt").read_text().split()))
+    symbols = default_inventory().symbols
+
+    def line(n):
+        rng, u = random.Random(34), ""
+        while len(u) < n:
+            u += (rng.choice(words) if rng.random() < 0.2
+                  else "".join(rng.choices(symbols, k=rng.randint(1, 12))))
+        return u[:n]
+    return line
 
 
 @pytest.fixture

@@ -3,9 +3,10 @@
 `full_search` keeps the searches as they were before any cutoff: every
 start of every column, a dense cell per pair and a walk with no stop test.
 On lines of hundreds of phonemes, where the key stop ends the column
-scans and the walk's scans early and each start's running spelling catches
-up across the columns that skipped it, the production searches must return
-the same words and the same score bits.  The tables are learned incrementally from a prefix of
+scans and the walk's scans early, the skip links jump past starts that
+lose, and each start's running spelling catches up across the columns that
+skipped it, the production searches must return the same words and the
+same score bits.  The tables are learned incrementally from a prefix of
 the stream, under the same settings as the search.  Two short near-ties
 check the rounding margin of the key stop at orders 2 and 3.
 """
@@ -26,17 +27,18 @@ STREAM = Path(__file__).parent / "fixtures" / "synthetic308.txt"
 PREFIX = 200  # utterances learned before the long lines are searched
 
 
-def long_lines():
+def long_lines(mixed_line):
     """Lines of corpus words at n = 300 and 1,000, of random phonemes at
-    n = 300 and 800, and of corpus words with 6 random phonemes every 150
-    (n = 450)."""
+    n = 300 and 800, of corpus words with 6 random phonemes every 150
+    (n = 450), and conftest's mixed line of corpus words and random chunks
+    (n = 1,000)."""
     text = STREAM.read_text().replace("\n", "").replace(" ", "")
     symbols = default_inventory().symbols
     rng = random.Random(150)
     mixed = "".join(text[k:k + 144] + "".join(rng.choices(symbols, k=6))
                     for k in range(0, 450, 144))[:450]
     return [text[:300], text[:1000], "".join(random.Random(300).choices(symbols, k=300)),
-            "".join(random.Random(800).choices(symbols, k=800)), mixed]
+            "".join(random.Random(800).choices(symbols, k=800)), mixed, mixed_line(1000)]
 
 
 def start_bound(tables, u, require_vowel):
@@ -65,12 +67,12 @@ def assert_same_as_full_search(tables, u, cfg):
 @pytest.mark.parametrize("require_vowel", [False, True])
 @pytest.mark.parametrize("mode", list(PhonemeMode))
 @pytest.mark.parametrize("order", [1, 2, 3])
-def test_long_lines_match_the_full_search(order, mode, require_vowel):
+def test_long_lines_match_the_full_search(order, mode, require_vowel, mixed_line):
     cfg = LearnerConfig(order=order, phoneme_mode=mode, require_vowel=require_vowel)
     tables = CountTables()
     for line in STREAM.read_text().splitlines()[:PREFIX]:
         process_utterance(tables, line.replace(" ", ""), cfg)
-    for u in long_lines():
+    for u in long_lines(mixed_line):
         assert_same_as_full_search(tables, u, cfg)
 
 
