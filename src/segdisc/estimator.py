@@ -9,9 +9,11 @@ query is answerable.
 
 The probability functions p_* return exact fractions.Fraction values, the
 reference for identity checks at any word length.  Scoring works in
-negative natural log units through one chain per table state, `_log_chain`,
-the model's only float arithmetic, built on first use after a commit and
-kept in `tables.score_cache`; both `word_score` and the boundary search's
+negative natural log units through one chain per table, `_log_chain`, the
+model's only float arithmetic, built on first use and kept in
+`tables.score_cache` for the tables' whole life; the first read after a
+commit refreshes its aggregate terms in place, and its phoneme logs only
+when a phoneme count moved.  Both `word_score` and the boundary search's
 `UtteranceScorer` read it.  It accumulates per phoneme, so long novel
 words cannot underflow.
 """
@@ -84,18 +86,25 @@ def p_trigram(tables: CountTables, prev2: str, prev1: str, word: str) -> Fractio
     return base if denom == 0 else Fraction(len(tables.trigrams), denom) * base
 
 
-def _log_chain(tables: CountTables):
+def _log_chain(tables: CountTables) -> list:
     """The back-off chain in negative natural log units.
 
-    Returns (uni, bi, tri, substrings, escapes).  uni(w),
+    Returns [uni, bi, tri, substrings, escapes, s1, refresh].  uni(w),
     bi(prev, w) and tri(prev2, prev1, w) are -ln of p_unigram, p_bigram and
     p_trigram, accumulated per phoneme so that long novel words cannot
     underflow.
-    The table aggregates are read once, so the chain holds for one table
-    state only; `_chain` builds it on first use after a commit.  A phoneme's
-    log is computed on first use: substrings(u) fills the symbols of u, and
-    uni those of a word it spells, which the caller must have checked
-    against the inventory; context words are only looked up, never spelled.
+    The closures are built once per tables and read the table aggregates
+    through refresh(tables), which sets them from the current counts and
+    returns (escapes, s1): it recomputes N_k + S_k, the escape terms and
+    the bigram and trigram heads and clears the unigram memo, and only
+    where `phoneme_total` moved, the spelling head and the phoneme logs;
+    counts only grow, so an unmoved total means no phoneme count moved.
+    The build calls it once, and `_chain` after each commit.  refresh takes
+    the tables as an argument and no closure holds them, so the chain they
+    keep in `score_cache` makes no reference cycle.  A phoneme's log is
+    computed on first use: substrings(u) fills the symbols of u, and uni
+    those of a word it spells, which the caller must have checked against
+    the inventory; context words are only looked up, never spelled.
     Unigram scores are memoized per word.
 
     escapes = (e1, e2, e3) are the logs of the unigram, bigram and trigram
@@ -116,9 +125,9 @@ def _log_chain(tables: CountTables):
     """
     log = math.log
     counts = tables.phonemes
-    total = tables.phoneme_total
-    sentinel = counts[SENTINEL]
-    sigma_head = -log(sentinel / (total - sentinel))
+    # the aggregate terms, set by refresh below
+    total = sigma_head = denom1 = log_escape1 = bi_head = log_escape2 = tri_head = \
+        log_escape3 = None
     char_logs: dict[str, float] = {}
 
     def fill(text: str) -> None:
@@ -127,9 +136,6 @@ def _log_chain(tables: CountTables):
 
     unigram_counts = tables.unigrams
     prefixes = tables.prefixes
-    denom1 = len(unigram_counts) + tables.s1
-    # with nothing observed there is no escape term, and x - 0.0 == x
-    log_escape1 = log(len(unigram_counts) / denom1) if denom1 > 0 else 0.0
     uni_cache: dict[str, float] = {}
 
     def uni(word: str) -> float:
@@ -165,9 +171,6 @@ def _log_chain(tables: CountTables):
         return starts, [char_logs[ch] for ch in u], sigma_head
 
     bigram_counts = tables.bigrams
-    denom2 = len(bigram_counts) + tables.s2
-    bi_head = -log(tables.s2 / denom2) if tables.s2 > 0 else None
-    log_escape2 = log(len(bigram_counts) / denom2) if denom2 > 0 else 0.0
 
     def bi(prev: str, word: str) -> float:
         count = bigram_counts.get((prev, word), 0)
@@ -176,9 +179,6 @@ def _log_chain(tables: CountTables):
         return uni(word) - log_escape2
 
     trigram_counts = tables.trigrams
-    denom3 = len(trigram_counts) + tables.s3
-    tri_head = -log(tables.s3 / denom3) if tables.s3 > 0 else None
-    log_escape3 = log(len(trigram_counts) / denom3) if denom3 > 0 else 0.0
 
     def tri(prev2: str, prev1: str, word: str) -> float:
         count = trigram_counts.get((prev2, prev1, word), 0)
@@ -186,15 +186,42 @@ def _log_chain(tables: CountTables):
             return tri_head - log(count / bigram_counts[(prev2, prev1)])
         return bi(prev1, word) - log_escape3
 
-    return uni, bi, tri, substrings, (log_escape1, log_escape2, log_escape3)
+    def refresh(tables: CountTables) -> tuple[tuple[float, float, float], int]:
+        nonlocal total, sigma_head, denom1, log_escape1, bi_head, log_escape2, tri_head, \
+            log_escape3
+        if tables.phoneme_total != total:
+            total = tables.phoneme_total
+            sentinel = counts[SENTINEL]
+            sigma_head = -log(sentinel / (total - sentinel))
+            char_logs.clear()
+        denom1 = len(unigram_counts) + tables.s1
+        # with nothing observed there is no escape term, and x - 0.0 == x
+        log_escape1 = log(len(unigram_counts) / denom1) if denom1 > 0 else 0.0
+        uni_cache.clear()
+        denom2 = len(bigram_counts) + tables.s2
+        bi_head = -log(tables.s2 / denom2) if tables.s2 > 0 else None
+        log_escape2 = log(len(bigram_counts) / denom2) if denom2 > 0 else 0.0
+        denom3 = len(trigram_counts) + tables.s3
+        tri_head = -log(tables.s3 / denom3) if tables.s3 > 0 else None
+        log_escape3 = log(len(trigram_counts) / denom3) if denom3 > 0 else 0.0
+        return (log_escape1, log_escape2, log_escape3), tables.s1
+
+    return [uni, bi, tri, substrings, *refresh(tables), refresh]
 
 
-def _chain(tables: CountTables):
-    """The tables' back-off chain, built on first use after a commit; commit
-    clears `tables.score_cache`, so every reader sees the current counts."""
+def _chain(tables: CountTables) -> list:
+    """The tables' back-off chain, built on first use and refreshed on the
+    first read after each commit, so every reader sees the current counts.
+
+    A commit is seen by S1 alone: every accepted commit adds its tokens, at
+    least one, to S1, and a rejected one changes no count, so S1 differs
+    from the one the chain was refreshed at exactly when some count moved.
+    """
     chain = tables.score_cache
     if chain is None:
         chain = tables.score_cache = _log_chain(tables)
+    elif chain[5] != tables.s1:
+        chain[4:6] = chain[6](tables)
     return chain
 
 
@@ -247,14 +274,17 @@ class UtteranceScorer:
     lexicon words with the chain's uni, bi, tri and `escapes`, the chain
     word_score reads.  grow = 1 + (n + 8) 2^-50 is the searches' relative
     rounding margin for this utterance's n.  The scorer builds no chain of
-    its own, and the tables must not change while it lives.
+    its own, and the tables must not change while it lives: a commit
+    refreshes the shared chain in place on its next read, so a scorer kept
+    past one would mix the refreshed uni, bi and tri with its own old
+    escapes, head and logs.
     """
 
     __slots__ = ("starts", "logs", "head", "escapes", "grow", "uni", "bi", "tri", "spelled",
                  "upto")
 
     def __init__(self, tables: CountTables, u: str):
-        self.uni, self.bi, self.tri, substrings, self.escapes = _chain(tables)
+        self.uni, self.bi, self.tri, substrings, self.escapes = _chain(tables)[:5]
         self.starts, self.logs, self.head = substrings(u)
         self.grow = 1.0 + (len(u) + 8) * 2.0 ** -50
         self.spelled = [self.head] * (len(u) + 1)

@@ -38,9 +38,9 @@ class CountTables:
     for concurrent mutation.  `prefixes` holds every non-empty prefix of
     every lexicon word, the words included, extended in O(len w) per new
     word w; the scorer walks an utterance along it.  `score_cache` holds
-    the one back-off chain of the current counts, which `estimator` builds
-    on first use and both `segment` and `word_score` read; `commit` clears
-    it.
+    the tables' one back-off chain, which `estimator` builds on first use
+    and refreshes in place on the first read after each commit, and which
+    both `segment` and `word_score` read; `commit` leaves it alone.
     """
 
     __slots__ = ("inventory", "unigrams", "bigrams", "trigrams", "phonemes",
@@ -83,7 +83,6 @@ class CountTables:
         for w in words:
             if w not in unigrams:  # lexicon words were checked on entry
                 self.inventory.check(w)
-        self.score_cache = None
         novel = []
         for w in words:
             count = unigrams.get(w, 0)

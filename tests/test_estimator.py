@@ -4,13 +4,14 @@ import random
 from fractions import Fraction
 from functools import reduce
 from operator import sub
+from pathlib import Path
 
 import pytest
 
 from segdisc import (SENTINEL, CountTables, LearnerConfig, PhonemeMode, UnknownPhoneme,
                      default_inventory, p_bigram, p_sigma, p_trigram, p_unigram,
-                     segment, word_score)
-from segdisc import segmenter
+                     process_utterance, segment, word_score)
+from segdisc import estimator, segmenter
 from segdisc.estimator import UtteranceScorer
 
 F = Fraction
@@ -193,7 +194,7 @@ def test_word_score_utterance_initial_falls_back():
 
 
 def test_word_score_follows_commits():
-    # word_score keeps one chain per table state; every commit must retire it
+    # word_score reads the tables' one chain; every commit must refresh it
     t = CountTables()
     for words in (["ab"], ["ab", "a"], ["a", "b", "ab"], ["ab", "a", "b"]):
         word_score(t, ("ab", "a"), "b", 3)
@@ -476,7 +477,7 @@ def test_searches_leave_bit_identical_running_spellings(order, monkeypatch):
         assert_spellings_are_bit_identical(t, u, scorers[-1])
 
 
-# --- one chain per table state ----------------------------------------------
+# --- one chain per table ---------------------------------------------------
 
 def cache_free_answer(accepted, mode, query):
     """The query's answer from fresh tables that replay only the accepted
@@ -538,3 +539,38 @@ def test_cache_history_never_changes_a_score(mode):
                     segment(t, "ab" + SENTINEL, LearnerConfig(rng.randint(1, 3), mode))
                 continue
             assert query(t) == cache_free_answer(accepted, mode, query)
+
+
+@pytest.mark.parametrize("mode", list(PhonemeMode))
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_learn_loop_builds_one_chain_per_tables(order, mode, monkeypatch):
+    # a commit refreshes the tables' chain in place on its next read: the
+    # closures are built once per tables, not once per accepted commit, and
+    # refreshed once per commit, not once per read
+    builds, refreshes = [], []
+    build = estimator._log_chain
+
+    def counted(tables):
+        chain = build(tables)
+        refresh = chain[6]
+
+        def counted_refresh(tables):
+            refreshes.append(tables.s1)
+            return refresh(tables)
+
+        chain[6] = counted_refresh
+        builds.append(tables)
+        return chain
+
+    monkeypatch.setattr(estimator, "_log_chain", counted)
+    lines = (Path(__file__).parent / "fixtures" / "synthetic308.txt").read_text().splitlines()
+    t = CountTables()
+    commits = []
+    for line in lines[:300]:
+        seg = process_utterance(t, line.replace(" ", ""), LearnerConfig(order, mode))
+        commits.append(t.s1)
+        # the first read after the commit, and a second that must not refresh
+        word_score(t, seg.words[:-1], seg.words[-1], order)
+        word_score(t, (), seg.words[0], order)
+    assert builds == [t]
+    assert refreshes == commits

@@ -10,15 +10,19 @@ seed in SEEDS, phoneme mode, vowel rule (off, on) and order (--orders, 2 and
 3 by default), the sweep compares
 
 * the first UTTERANCES utterances of the corpus, segmented and committed
-  in turn on fresh tables (the incremental learn loop);
+  in turn on fresh tables (the incremental learn loop), and after each
+  commit the word_score of every committed word given the words before it;
+  the word scores of an even utterance are read right after its commit,
+  those of an odd one after the next utterance's segment, so that
+  word_score and segment each read first after half the commits;
 * on tables trained on the whole corpus, each stress utterance, the stress
   set joined into one line, and lines of 50, 300 and 800 random phonemes
   (random.Random(n)).
 
 Two segmentations agree when their words and the float.hex of their scores
-are equal.  The sweep prints the number checked and stops at the first
-difference, which it prints whole; it exits 1 then, 0 otherwise.  It uses
-only the standard library.
+are equal, two word scores when their float.hex are.  The sweep prints the
+number of each checked and stops at the first difference, which it prints
+whole; it exits 1 then, 0 otherwise.  It uses only the standard library.
 """
 
 from __future__ import annotations
@@ -45,14 +49,30 @@ def load(tree: Path, name: str):
     return module
 
 
+def word_scores(package, tables, k, words, order):
+    """(kind, label, word, score hex) for each word of utterance k."""
+    for j, word in enumerate(words):
+        score = package.word_score(tables, words[:j], word, order)
+        yield "word score", f"incremental utterance {k}, word {j}", word, score.hex()
+
+
 def lines(package, generated, mode, vowel, order):
-    """(label, words, score hex) for every line of one setting of the grid."""
+    """(kind, label, words, score hex) for every segmentation of one setting
+    of the grid, and every word score of its learn loop."""
     cfg = package.LearnerConfig(order=order, phoneme_mode=mode, require_vowel=vowel)
     tables = package.CountTables()
+    pending = ()
     for k, words in enumerate(generated.utterances[:UTTERANCES]):
         seg, score = package.segment(tables, "".join(words), cfg)
+        yield "segmentation", f"incremental utterance {k}", seg.words, score.hex()
+        yield from pending
         tables.commit(seg.words, mode)
-        yield f"incremental utterance {k}", seg.words, score.hex()
+        # a generator: it reads nothing until it is iterated
+        pending = word_scores(package, tables, k, seg.words, order)
+        if k % 2 == 0:
+            yield from pending
+            pending = ()
+    yield from pending
     tables = package.CountTables()
     for words in generated.utterances:
         package.train_utterance(tables, words, cfg)
@@ -64,7 +84,11 @@ def lines(package, generated, mode, vowel, order):
                 for n in RANDOM_LENGTHS]
     for label, u in trained:
         seg, score = package.segment(tables, u, cfg)
-        yield label, seg.words, score.hex()
+        yield "segmentation", label, seg.words, score.hex()
+
+
+def counts(checked) -> str:
+    return f"{checked['segmentation']} segmentations and {checked['word score']} word scores"
 
 
 def main(argv=None) -> int:
@@ -79,7 +103,7 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(args.new / "perfbench"))
     import corpusgen
 
-    checked = 0
+    checked = {"segmentation": 0, "word score": 0}
     for seed in SEEDS:
         generated = corpusgen.generate(seed)
         for mode in new.PhonemeMode:
@@ -88,16 +112,16 @@ def main(argv=None) -> int:
                     setting = f"seed {seed}, order {order}, {mode.value} mode, vowel rule {vowel}"
                     pairs = zip(lines(old, generated, mode.value, vowel, order),
                                 lines(new, generated, mode.value, vowel, order))
-                    for (label, *a), (_, *b) in pairs:
+                    for (kind, label, *a), (_, _, *b) in pairs:
                         if a != b:
-                            print(f"checked {checked} segmentations; first difference: "
+                            print(f"checked {counts(checked)}; first difference: "
                                   f"{setting}, {label}")
                             print(f"  {args.old}: {a[0]} score {a[1]}")
                             print(f"  {args.new}: {b[0]} score {b[1]}")
                             return 1
-                        checked += 1
-                    print(f"{setting}: {checked} checked so far", file=sys.stderr)
-    print(f"checked {checked} segmentations: 0 differences")
+                        checked[kind] += 1
+                    print(f"{setting}: {counts(checked)} checked so far", file=sys.stderr)
+    print(f"checked {counts(checked)}: 0 differences")
     return 0
 
 
