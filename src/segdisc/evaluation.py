@@ -2,18 +2,26 @@
 
 A predicted word token counts as correct only when both its start and its
 end coincide with a reference word's span (exact span match); string
-equality alone would over-credit repeated short words.  Precision and
-recall are percentages of predicted and reference word tokens
-respectively, computed within scoring blocks; lexicon precision is
-cumulative over every distinct word predicted so far.
+equality alone would over-credit repeated short words.  score_utterance
+counts them in one pass over cumulative offsets: the reference's
+(start, end) spans go into a set, and each predicted word's span is looked
+up as its running offset advances; a prediction equal to the reference
+scores every word at once.  Precision and recall are percentages of
+predicted and reference word tokens respectively, computed within scoring
+blocks; lexicon precision is cumulative over every distinct word
+predicted so far.
+
+The random baseline is reproducible from its generator alone: each call
+makes exactly one rng.sample over the internal positions 1..n-1, sorts
+the draw and cuts the words there.  So a seeded random.Random gives the
+same words and leaves the same state on every run, and the words are
+those Segmentation.from_boundaries cuts at the drawn positions.
 """
 
 from __future__ import annotations
 
 import random
-from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import accumulate, pairwise
 
 from .segmenter import Segmentation
 
@@ -42,19 +50,28 @@ class LexiconAudit:
     incorrect: int
 
 
-def word_spans(words) -> Iterator[tuple[int, int]]:
-    """(start, end) character span of each word in the joined string."""
-    return pairwise(accumulate(map(len, words), initial=0))
-
-
 def score_utterance(predicted: Segmentation, reference) -> tuple[int, int, int]:
     """(correct, predicted, reference) word token counts for one utterance."""
     reference = tuple(reference)
     if predicted.phonemes != "".join(reference):
         raise MismatchedUtterance(
             f"predicted stream {predicted.phonemes!r} does not match reference {' '.join(reference)!r}")
-    correct = len(set(word_spans(reference)).intersection(word_spans(predicted.words)))
-    return correct, len(predicted.words), len(reference)
+    words = predicted.words
+    n = len(reference)
+    if words == reference:
+        return n, n, n
+    spans = set()
+    start = 0
+    for w in reference:
+        end = start + len(w)
+        spans.add((start, end))
+        start = end
+    correct = start = 0
+    for w in words:
+        end = start + len(w)
+        correct += (start, end) in spans
+        start = end
+    return correct, len(words), n
 
 
 def audit_lexicon(learned, reference_lexicon) -> LexiconAudit:
@@ -131,5 +148,12 @@ def random_baseline(u: str, true_boundary_count: int, rng: random.Random) -> Seg
     if not 0 <= true_boundary_count <= n - 1:
         raise InfeasibleBoundaryCount(
             f"{true_boundary_count} boundaries cannot fit in {n} phonemes")
-    positions = sorted(rng.sample(range(1, n), true_boundary_count))
-    return Segmentation.from_boundaries(u, positions)
+    # sorted distinct draws from 1..n-1 are the valid boundaries that
+    # from_boundaries would check, so cut the words here
+    words = []
+    start = 0
+    for end in sorted(rng.sample(range(1, n), true_boundary_count)):
+        words.append(u[start:end])
+        start = end
+    words.append(u[start:])
+    return Segmentation(u, tuple(words))

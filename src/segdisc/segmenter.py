@@ -162,7 +162,7 @@ class Segmentation:
 
     `words` is a tuple of non-empty strings that concatenates back to
     `phonemes`: from_words and from_boundaries check it, and the search
-    builds it so.
+    and the random baseline build it so.
     """
 
     phonemes: str

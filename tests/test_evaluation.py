@@ -1,5 +1,6 @@
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -8,8 +9,21 @@ from segdisc import (InfeasibleBoundaryCount, MismatchedUtterance,
                      score_blocks, score_utterance)
 
 
+SYNTHETIC308 = [line.split() for line in
+                (Path(__file__).parent / "fixtures" / "synthetic308.txt").read_text().splitlines()]
+
+
 def seg(text):
     return Segmentation.from_words(text.split())
+
+
+def scan_count(predicted, reference):
+    """score_utterance's counts by a membership scan of reference spans."""
+    ends = list(itertools.accumulate(len(w) for w in reference))
+    reference_spans = set(zip([0] + ends, ends))
+    ends = list(itertools.accumulate(len(w) for w in predicted.words))
+    correct = sum(1 for span in zip([0] + ends, ends) if span in reference_spans)
+    return correct, len(predicted.words), len(reference)
 
 
 # --- single utterance --------------------------------------------------------
@@ -40,6 +54,21 @@ def test_mismatched_streams_rejected():
         score_utterance(seg("tu mi"), ["tu", "mi", "tu"])
 
 
+def test_equal_words_on_another_stream_rejected():
+    # the words equal the reference, but the stream does not: the stream
+    # check must run before any shortcut on equal words
+    with pytest.raises(MismatchedUtterance):
+        score_utterance(Segmentation("xy", ("tu", "mi")), ("tu", "mi"))
+
+
+def test_exact_and_one_word_predictions_of_fixture_lines():
+    for words in SYNTHETIC308:
+        n = len(words)
+        assert score_utterance(Segmentation.from_words(words), words) == (n, n, n)
+        whole = Segmentation.from_words(["".join(words)])
+        assert score_utterance(whole, words) == scan_count(whole, words)
+
+
 def test_correct_bounded_by_both_sides():
     rng = random.Random(8)
     for _ in range(200):
@@ -54,13 +83,6 @@ def test_correct_bounded_by_both_sides():
 
 
 def test_span_count_matches_a_membership_scan(sample_corpus):
-    def scan_count(predicted, reference):
-        ends = list(itertools.accumulate(len(w) for w in reference))
-        reference_spans = set(zip([0] + ends, ends))
-        ends = list(itertools.accumulate(len(w) for w in predicted.words))
-        correct = sum(1 for span in zip([0] + ends, ends) if span in reference_spans)
-        return correct, len(predicted.words), len(reference)
-
     rng = random.Random(11)
     for _ in range(20):
         for utterance in sample_corpus:
@@ -226,6 +248,20 @@ def test_baseline_exact_count_always():
         out = random_baseline(u, want, rng)
         assert len(out.words) == want + 1
         assert out.phonemes == u
+
+
+def test_baseline_cuts_what_from_boundaries_cuts_from_the_same_draws():
+    # from_boundaries cuts the same words at one sorted rng.sample per
+    # utterance, and both generators end in the same state, so the later
+    # utterances of a pass draw alike
+    for seed in range(5):
+        rng, twin = random.Random(seed), random.Random(seed)
+        for words in SYNTHETIC308:
+            u = "".join(words)
+            for k in (len(words) - 1, 0, len(u) - 1):
+                expected = Segmentation.from_boundaries(u, sorted(twin.sample(range(1, len(u)), k)))
+                assert random_baseline(u, k, rng).words == expected.words
+        assert rng.getstate() == twin.getstate()
 
 
 def test_baseline_infeasible_counts():
