@@ -119,9 +119,14 @@ def _log_chain(tables: CountTables) -> list:
     u[j:i] is outside the lexicon.  substrings(u) returns (starts, logs,
     h): logs[k] is the log of u[k]'s frequency, and starts[i] maps each j
     whose u[j:i] is a lexicon word to it in increasing j, one shared empty
-    dict that no caller may write where there is none; the walk from each
-    start looks up only substrings in the tables' `prefixes`.
-    `UtteranceScorer` spells the scores from them.
+    dict that no caller may write where there is none.  The walk from each
+    start j steps down the tables' `trie`, one dict lookup per phoneme, and
+    stops at the first phoneme no lexicon word continues with; a node
+    holding a word under SENTINEL gives starts[i][j] that word, the
+    lexicon's own string, with no slice and no count lookup.  It loops, and
+    recurses over no node.  u must have been checked against the inventory,
+    so that no phoneme step reads SENTINEL.  `UtteranceScorer` spells the
+    scores from them.
     """
     log = math.log
     counts = tables.phonemes
@@ -135,7 +140,7 @@ def _log_chain(tables: CountTables) -> list:
             char_logs[ch] = log(counts[ch] / total)
 
     unigram_counts = tables.unigrams
-    prefixes = tables.prefixes
+    trie = tables.trie
     uni_cache: dict[str, float] = {}
 
     def uni(word: str) -> float:
@@ -157,16 +162,17 @@ def _log_chain(tables: CountTables) -> list:
         fill(u)
         n = len(u)
         # one shared empty dict where no lexicon word ends, never written
-        empty = {}
+        empty, end = {}, SENTINEL
         starts = [empty] * (n + 1)
-        for j in range(n):
-            i = j + 1
-            while i <= n and (word := u[j:i]) in prefixes:
-                if word in unigram_counts:
+        for j, ch in enumerate(u):
+            node, i = trie.get(ch), j + 1
+            while node is not None:  # node spells u[j:i]
+                if end in node:
                     if starts[i] is empty:
-                        starts[i] = {j: word}
+                        starts[i] = {j: node[end]}
                     else:
-                        starts[i][j] = word
+                        starts[i][j] = node[end]
+                node = node.get(u[i]) if i < n else None
                 i += 1
         return starts, [char_logs[ch] for ch in u], sigma_head
 
@@ -270,7 +276,10 @@ class UtteranceScorer:
     i = 0, ..., n, spelled in n subtractions.
 
     starts[i] maps each start of a lexicon word ending at i to that word,
-    found by lookups along lexicon prefixes only.  The search scores
+    found by one walk down the tables' lexicon trie from each start, one
+    dict lookup per phoneme; u must have been checked against the
+    inventory, as `segment` does, since the walk trusts that no phoneme is
+    SENTINEL, the key that marks a word in the trie.  The search scores
     lexicon words with the chain's uni, bi, tri and `escapes`, the chain
     word_score reads.  grow = 1 + (n + 8) 2^-50 is the searches' relative
     rounding margin for this utterance's n.  The scorer builds no chain of

@@ -81,16 +81,23 @@ its own error out of the - uni(w) above), less than the margin
 D - e2 = ln(S1 (N2 + S2) / S2) >= ln 2.  Order 3 takes, where u[:i] is
 outside the lexicon, R = firsts[i], u[:i] read alone: the next word w adds
 uni(w) - e2 after it and uni(w) - e2 - e3 after a novel last word, as no
-trigram with a novel word is seen, so d = e3 <= 0; d = 0 at i = n, with no
-next word.  A lexicon u[:i] may form a seen bigram, so it seeds nothing.
-The seed may stand in ending[i] too, but a novel word x after it still
-takes firsts[i] + bi("", x), the lesser term, and the key
+trigram with a novel word is seen, so d = e3 <= 0.  A lexicon u[:i] may
+form a seen bigram with w, so for i < n it seeds nothing.  The seed may
+stand in ending[i] too, but a novel word x after it still takes
+firsts[i] + bi("", x), the lesser term, and the key
 min(firsts[i], ending[i] - e3) keeps firsts[i].  The two readings add the
 same terms grouped otherwise, so only roundings count, five of them, each
 at most 2^-53 of the merge.  A novel next word spells at most
 wholes[n] - wholes[i] + h and a lexicon one scores at most ln(N1 + S1), so
 every merge lies below W = wholes[n] + (h - e1 - e2) - e1 - e3 +
-ln(N1 + S1), and the margin is (grow - 1) W.
+ln(N1 + S1), and the margin is (grow - 1) W.  At i = n no next word
+follows, so d = 0 and both orders seed with R itself, with no margin:
+order 2 with b, order 3 with firsts[n] whether u is a lexicon word or not.
+A novel cell above that seed scores above a reading the search already
+holds, so it loses, and one equal to it is left to the walk, which
+recomputes every start's reach.  Unseeded, order 3's last column read
+every start of a line that is one lexicon word, as its novel cells all tie
+in real arithmetic there.
 
 Only lexicon cells are stored, one dict per column, and one running
 spelling per start, the scorer's spelled[t], u[t:upto[t]]'s spelling score
@@ -345,7 +352,7 @@ def _search_bigram(scorer, u, limit, tables):
         cells.append(lexical)
         records.append(record)
         shared = whole - escape1 if lim and 0 not in here else _INF  # uni(u[:i]) first
-        seed = top * grow + lift
+        seed = top * grow + lift if i < n else top  # no next word after u[:n]
         if seed < shared:
             shared = seed
         floor = whole * shrink - fixed
@@ -437,6 +444,8 @@ def _search_trigram(scorer, u, limit, tables):
         if lim:
             if 0 in here:
                 firsts[i] = uni(here[0])
+                if i == n:  # no next word: u read whole seeds the last scan
+                    shared = firsts[i]
             else:  # u[:i] alone outside the lexicon seeds the scan
                 firsts[i] = shared = whole - escape1
                 if i < n:

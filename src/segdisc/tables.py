@@ -35,16 +35,23 @@ class CountTables:
     """Unigram/bigram/trigram/phoneme counts with cached count sums.
 
     An instance is owned by a single learning run; nothing here is safe
-    for concurrent mutation.  `prefixes` holds every non-empty prefix of
-    every lexicon word, the words included, extended in O(len w) per new
-    word w; the scorer walks an utterance along it.  `score_cache` holds
-    the tables' one back-off chain, which `estimator` builds on first use
-    and refreshes in place on the first read after each commit, and which
-    both `segment` and `word_score` read; `commit` leaves it alone.
+    for concurrent mutation.  `trie` is the lexicon as a tree of nested
+    dicts: each node maps a phoneme to its child, and a node whose path
+    spells a lexicon word holds that word under the key SENTINEL, the
+    end-of-word symbol, which no phoneme step can reach.  A new word w adds
+    at most len(w) nodes, so it costs O(len w) time and memory; the scorer
+    walks an utterance along it.  A trie is as deep as its longest word, so
+    nothing may recurse over it: `==`, `repr`, `copy.deepcopy` and `pickle`
+    of a trie hit the recursion limit once a word is long enough, while
+    CPython frees nested dicts through its trashcan, so dropping one is
+    safe.  `score_cache` holds the tables' one back-off chain, which
+    `estimator` builds on first use and refreshes in place on the first
+    read after each commit, and which both `segment` and `word_score` read;
+    `commit` leaves it alone.
     """
 
     __slots__ = ("inventory", "unigrams", "bigrams", "trigrams", "phonemes",
-                 "phoneme_total", "s1", "s2", "s3", "prefixes", "score_cache")
+                 "phoneme_total", "s1", "s2", "s3", "trie", "score_cache")
 
     def __init__(self):
         self.inventory = inventory = default_inventory()
@@ -55,7 +62,7 @@ class CountTables:
         self.phonemes[SENTINEL] = 1
         self.phoneme_total = len(self.phonemes)
         self.s1 = self.s2 = self.s3 = 0
-        self.prefixes: set[str] = set()
+        self.trie: dict = {}
         self.score_cache = None
 
     # distinct bigrams and trigrams, read by perfbench's tables.*_types metrics
@@ -88,7 +95,10 @@ class CountTables:
             count = unigrams.get(w, 0)
             if count == 0:
                 novel.append(w)
-                self.prefixes.update(w[:k] for k in range(1, len(w) + 1))
+                node = self.trie
+                for ch in w:
+                    node = node.setdefault(ch, {})
+                node[SENTINEL] = w
             unigrams[w] = count + 1
         self.s1 += len(words)
         if len(words) >= 2:

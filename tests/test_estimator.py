@@ -408,7 +408,7 @@ def test_spelling_pass_words_as_long_as_the_longest(u):
     # a cell
     t = damn_british_tables()
     t.commit(["kIti", "I", "S"])
-    assert max(t.prefixes, key=len) == "D&mbrItIS"
+    assert max(t.unigrams, key=len) == "D&mbrItIS"
     assert_pass_is_bit_identical(t, u)
 
 

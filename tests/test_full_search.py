@@ -76,6 +76,16 @@ def test_long_lines_match_the_full_search(order, mode, require_vowel, mixed_line
         assert_same_as_full_search(tables, u, cfg)
 
 
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_line_equal_to_a_lexicon_word_matches_the_full_search(order):
+    # the line is one word committed once, so the last column's novel scan
+    # starts from that word read whole at every order
+    u = "".join(random.Random(2000).choices(default_inventory().symbols, k=300))
+    tables = CountTables()
+    tables.commit([u])
+    assert assert_same_as_full_search(tables, u, LearnerConfig(order=order)).words == (u,)
+
+
 # Found by a random search over small lexicons.  In each, the best reading
 # scores one unit in the last place below another, and a key stop without
 # the margin `grow` ends the walk's scan before a start the best reading

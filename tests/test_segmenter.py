@@ -761,7 +761,7 @@ def test_order2_scan_seeded_above_the_best_lexicon_cell_on_lexicon_lines(countin
         assert "".join(seg.words) == u
         novel.append(counting.subtractions() - len(u))  # less the whole-word scores
     assert max(novel) <= 150, novel
-    assert sum(novel) == 788, novel
+    assert sum(novel) == 787, novel
 
 
 def test_order1_running_spellings_catch_up_on_random_phonemes(counting):
@@ -778,6 +778,22 @@ def test_order1_running_spellings_catch_up_on_random_phonemes(counting):
     n = len(u)
     assert "".join(seg.words) == u
     assert counting.subtractions() == 328 <= n * (n + 1) // 4, counting.subtractions()
+
+
+@pytest.mark.parametrize("order, pinned", [(1, 0), (2, 2000), (3, 2000)])
+def test_line_equal_to_a_lexicon_word_spells_no_novel_cell(order, pinned, counting):
+    # a 2,000-phoneme word committed once, then searched alone: at the last
+    # column no next word follows, so the word read whole seeds the novel
+    # scan at orders 2 and 3, which ends at once.  Order 1 reads it as its
+    # lexicon cell, orders 2 and 3 spell only the n whole-word scores.  An
+    # unseeded last column ties every novel cell in real arithmetic and read
+    # every start, n(n+1)/2 subtractions at order 3
+    u = "".join(random.Random(2000).choices(default_inventory().symbols, k=2000))
+    t = CountTables()
+    t.commit([u])
+    seg, _ = segment(t, u, LearnerConfig(order))
+    assert seg.words == (u,)
+    assert counting.subtractions() == pinned, counting.subtractions()
 
 
 def random_line(n):
@@ -837,7 +853,7 @@ def test_skip_links_jump_past_their_neighbour(order):
     assert lines <= 240 * len(u), lines / len(u)
 
 
-@pytest.mark.parametrize("order, pinned", [(1, 4040), (2, 7618), (3, 7820)])
+@pytest.mark.parametrize("order, pinned", [(1, 4040), (2, 7542), (3, 7736)])
 def test_incremental_stream_spells_a_pinned_count(order, pinned, counting):
     # the learn loop over synthetic308.txt, 3,047 phonemes in corpus-length
     # utterances, where a scan reads nearly every start of a column: each

@@ -1,9 +1,11 @@
 import random
+import tracemalloc
 
 import pytest
 
 from segdisc import (SENTINEL, CountTables, LearnerConfig, PhonemeMode,
                      UnknownPhoneme, default_inventory, train_utterance)
+from segdisc.estimator import UtteranceScorer
 
 EVENT_SPACE = 51  # 50 phonemes plus the sentinel
 
@@ -106,9 +108,25 @@ def test_commit_rejects_empty():
     assert aggregates(t) == (0, 0, 0, 0, 0, 0) and t.unigrams == {}
 
 
+def flatten(trie):
+    """(paths, words): the set of the trie's paths, and each word held under
+    SENTINEL by its path.  It walks an explicit stack, as recursion over a
+    trie as deep as a long word would hit the recursion limit."""
+    paths, words, stack = set(), {}, [("", trie)]
+    while stack:
+        path, node = stack.pop()
+        for key, child in node.items():
+            if key == SENTINEL:
+                words[path] = child
+            else:
+                paths.add(path + key)
+                stack.append((path + key, child))
+    return paths, words
+
+
 def snapshot(t):
     return (dict(t.unigrams), dict(t.bigrams), dict(t.trigrams),
-            dict(t.phonemes), t.phoneme_total, aggregates(t), set(t.prefixes))
+            dict(t.phonemes), t.phoneme_total, aggregates(t), flatten(t.trie))
 
 
 @pytest.mark.parametrize("mode", list(PhonemeMode))
@@ -139,28 +157,58 @@ def lexicon_prefixes(t):
     return {w[:k] for w in t.unigrams for k in range(1, len(w) + 1)}
 
 
+def assert_trie_is_the_lexicon(t):
+    # the trie's paths are every prefix of every lexicon word, and each
+    # lexicon word is held under SENTINEL at its own path, and nothing else
+    paths, words = flatten(t.trie)
+    assert paths == lexicon_prefixes(t)
+    assert words == {w: w for w in t.unigrams}
+
+
 def test_prefixes_are_every_prefix_of_every_lexicon_word(sample_corpus):
     t = CountTables()
-    assert t.prefixes == set()
+    assert t.trie == {}
     t.commit(["ab", "a"])
-    assert t.prefixes == {"a", "ab"}
+    assert flatten(t.trie) == ({"a", "ab"}, {"a": "a", "ab": "ab"})
     t.commit(["b", "abab", "ba"], PhonemeMode.SPEECH)
-    assert t.prefixes == {"a", "ab", "aba", "abab", "b", "ba"}
+    assert flatten(t.trie)[0] == {"a", "ab", "aba", "abab", "b", "ba"}
+    assert_trie_is_the_lexicon(t)
     t.commit(["ab", "b"])
-    assert t.prefixes == lexicon_prefixes(t)
+    assert_trie_is_the_lexicon(t)
+    before = flatten(t.trie)
+    assert before[0] == {"a", "ab", "aba", "abab", "b", "ba"}
     for words in (["ab", "é"], ["ababab", "é"]):
         with pytest.raises(UnknownPhoneme):
             t.commit(words)
-        assert t.prefixes == {"a", "ab", "aba", "abab", "b", "ba"}
+        assert flatten(t.trie) == before
     rng = random.Random(6)
     for _ in range(50):
         t.commit(["".join(rng.choices("abI", k=rng.randint(1, 12)))
                   for _ in range(rng.randint(1, 4))])
-        assert t.prefixes == lexicon_prefixes(t)
+        assert_trie_is_the_lexicon(t)
     trained = CountTables()
     for utterance in sample_corpus:
         train_utterance(trained, utterance.words, LearnerConfig(order=2))
-        assert trained.prefixes == lexicon_prefixes(trained)
+        assert_trie_is_the_lexicon(trained)
+
+
+def test_commit_is_linear_in_word_length():
+    # one novel word of L phonemes adds L trie nodes, ~184 bytes each on
+    # CPython 3.11, where a set of its L prefixes took ~2.6 KB per phoneme
+    # here and grew as L^2.  The scorer finds the word whole at its end
+    length = 5000
+    w = "".join(random.Random(length).choices(default_inventory().symbols, k=length))
+    t = CountTables()
+    tracemalloc.start()
+    try:
+        t.commit([w])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 400 * length, peak / length
+    paths, words = flatten(t.trie)
+    assert len(paths) == length and words == {w: w}
+    assert UtteranceScorer(t, w).starts[length] == {0: w}
 
 
 def test_reference_corpus_commit_totals(sample_corpus):
