@@ -12,6 +12,12 @@ execute on a process pool; set SEGDISC_THREADS to bound the pool (default
 job carries only its seed and settings.  `_map_jobs` returns results in
 job order, serial or pooled, so the pool size never changes any output.
 Every per-utterance loop is the one incremental pass, `_pass`.
+
+`ExperimentSpec` checks its settings when it is built and raises
+ValueError for one out of range, so a library caller and the CLI reject
+the same specs with the same message.  A result holds its parts (a
+BlockScores, a ScenarioOutcome, a LearnerConfig), not copies of their
+fields.
 """
 
 from __future__ import annotations
@@ -45,6 +51,11 @@ _PERMUTE_BLOCK_SIZE = 100
 
 @dataclass
 class ExperimentSpec:
+    """One command's settings.  Building a spec checks them: a count or
+    fraction out of range, or a phoneme mode that is not a PhonemeMode
+    value, raises ValueError, whose message the CLI prints after
+    `segdisc: error: `.  A block size of None is the command's default."""
+
     command: str
     corpus_path: str | None = None
     order: int = 1
@@ -67,7 +78,7 @@ class ExperimentSpec:
     def model_name(self) -> str:
         return "random" if self.baseline else f"{self.order}-gram"
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         self.phoneme_mode = PhonemeMode(self.phoneme_mode)
         if self.runs < 1:
             raise ValueError(f"runs must be at least 1, got {self.runs}")
@@ -128,10 +139,8 @@ class Mismatch:
 
 @dataclass(frozen=True)
 class FullyTrainedReport:
-    utterances: int
     mismatches: tuple[Mismatch, ...]
-    precision: float
-    recall: float
+    block: BlockScores
 
 
 @dataclass(frozen=True)
@@ -145,9 +154,7 @@ class ScenarioOutcome:
 @dataclass(frozen=True)
 class ScenarioReport:
     outcomes: tuple[ScenarioOutcome, ...]
-    first_split: int | None
-    whole_neglog: float | None
-    parts_neglog: float | None
+    first: ScenarioOutcome  # the first outcome that splits
 
 
 @dataclass(frozen=True)
@@ -155,15 +162,6 @@ class GrowthCurve:
     source: str
     points: tuple[tuple[float, float], ...]
     k: float
-
-
-@dataclass(frozen=True)
-class MatrixCell:
-    order: int
-    phoneme_mode: str
-    precision: float
-    recall: float
-    lexicon_precision: float
 
 
 def _worker_count(n_jobs: int) -> int:
@@ -333,7 +331,7 @@ def run_fully_trained(spec: ExperimentSpec) -> FullyTrainedReport:
                        for index, (seg, words) in enumerate(pairs, start=1)
                        if seg.words != words)
     (block,) = score_blocks(pairs, None, corpus.lexicon())
-    return FullyTrainedReport(len(corpus), mismatches, block.precision, block.recall)
+    return FullyTrainedReport(mismatches, block)
 
 
 def run_damn_british(spec: ExperimentSpec) -> ScenarioReport:
@@ -368,7 +366,7 @@ def run_damn_british(spec: ExperimentSpec) -> ScenarioReport:
     first_x = first.isolated_count if first else None
     if first_x is None or first_x <= 6:
         raise RuntimeError(f"first split at x={first_x}, expected x > 6")
-    return ScenarioReport(tuple(outcomes), first_x, first.whole_neglog, first.parts_neglog)
+    return ScenarioReport(tuple(outcomes), first)
 
 
 def fit_sqrt_coefficient(points) -> float:
@@ -414,16 +412,16 @@ def run_lexicon_growth(spec: ExperimentSpec) -> tuple[GrowthCurve, GrowthCurve]:
             GrowthCurve("actual", actual, fit_sqrt_coefficient(actual)))
 
 
-def run_phoneme_mode_matrix(spec: ExperimentSpec) -> tuple[MatrixCell, ...]:
-    """Whole-corpus scores for orders 1-3 crossed with the phoneme modes."""
+def run_phoneme_mode_matrix(
+        spec: ExperimentSpec) -> tuple[tuple[LearnerConfig, BlockScores], ...]:
+    """Whole-corpus scores for orders 1-3 crossed with the phoneme modes, one
+    (LearnerConfig, BlockScores) pair each."""
     corpus = load_corpus(spec.corpus_path)
     configs = [LearnerConfig(order, mode, spec.require_vowel)
                for order in (1, 2, 3) for mode in PhonemeMode]
     results = _map_jobs(_scored_run, corpus, [(0, False, cfg, 0, None, False,
                                                spec.lexicon_seen_only) for cfg in configs])
-    return tuple(MatrixCell(cfg.order, cfg.phoneme_mode.value, block.precision,
-                            block.recall, block.lexicon_precision)
-                 for cfg, (block,) in zip(configs, results))
+    return tuple((cfg, block) for cfg, (block,) in zip(configs, results))
 
 
 def run_segment(spec: ExperimentSpec) -> tuple[Segmentation, ...]:
@@ -481,9 +479,10 @@ def _write_mismatches(spec, result, out, report):
     out.write("index\tpredicted\ttarget\n")
     for miss in result.mismatches:
         out.write(f"{miss.index}\t{' '.join(miss.predicted)}\t{' '.join(miss.target)}\n")
+    block = result.block
     report.write(
-        f"{len(result.mismatches)} of {result.utterances} utterances in error; "
-        f"precision {result.precision:.2f}, recall {result.recall:.2f}\n")
+        f"{len(result.mismatches)} of {block.utterances} utterances in error; "
+        f"precision {block.precision:.2f}, recall {block.recall:.2f}\n")
 
 
 def _write_scenario(spec, result, out, report):
@@ -493,9 +492,10 @@ def _write_scenario(spec, result, out, report):
             f"x={outcome.isolated_count:>2}  {verdict:5}  "
             f"-ln P(whole) = {outcome.whole_neglog:.5f}  "
             f"-ln P(D&m) + -ln P(brItIS) = {outcome.parts_neglog:.5f}\n")
+    first = result.first
     out.write(
-        f"first split at x={result.first_split}: "
-        f"{result.whole_neglog:.5f} (whole) vs {result.parts_neglog:.5f} (parts)\n")
+        f"first split at x={first.isolated_count}: "
+        f"{first.whole_neglog:.5f} (whole) vs {first.parts_neglog:.5f} (parts)\n")
 
 
 def _write_growth(spec, curves, out, report):
@@ -512,44 +512,40 @@ def _write_growth(spec, curves, out, report):
 def _write_matrix(spec, cells, out, report):
     writer = csv.writer(out)
     writer.writerow(["model", "phoneme_mode", "precision", "recall", "lexicon_precision"])
-    for cell in cells:
-        writer.writerow([f"{cell.order}-gram", cell.phoneme_mode,
-                         f"{cell.precision:.4f}", f"{cell.recall:.4f}",
-                         f"{cell.lexicon_precision:.4f}"])
+    for cfg, block in cells:
+        writer.writerow([f"{cfg.order}-gram", cfg.phoneme_mode.value,
+                         f"{block.precision:.4f}", f"{block.recall:.4f}",
+                         f"{block.lexicon_precision:.4f}"])
 
 
-# Every flag any command takes, as add_argument keywords.  A help text
+# Every flag any command takes, as add_argument keywords.  A flag left
+# unset parses to None and the ExperimentSpec default stands; a help text
 # with %(default)s shows the default of the command that takes the flag.
 _FLAGS = {
     "--corpus": dict(dest="corpus_path", required=True, metavar="PATH",
                      help="reference corpus file, one utterance per line"),
-    "--order": dict(type=int, choices=(1, 2, 3), default=1,
-                    help="n-gram model order (default 1)"),
+    "--order": dict(type=int, choices=(1, 2, 3), help="n-gram model order (default 1)"),
     "--phoneme-mode": dict(choices=[m.value for m in PhonemeMode],
-                           default=PhonemeMode.LEXICON.value,
                            help="how phoneme frequencies are learned (default lexicon)"),
     "--require-vowel": dict(action="store_true",
                             help="only consider words containing a vowel"),
     "--out": dict(dest="out_path", metavar="PATH",
                   help="write primary output to PATH instead of stdout"),
     "--runs": dict(type=int, help="number of runs to average (default %(default)s)"),
-    "--seed": dict(dest="base_seed", type=int, default=0,
-                   help="base seed; run r uses seed+r (default 0)"),
+    "--seed": dict(dest="base_seed", type=int, help="base seed; run r uses seed+r (default 0)"),
     "--block-size": dict(type=int,
                          help="utterances per scoring block (default %(default)s)"),
     "--lexicon-seen-only": dict(action="store_true",
                                 help="audit the learned lexicon against reference words "
                                      "seen so far, training words included, instead of "
                                      "the full reference lexicon"),
-    "--train-frac": dict(dest="train_fraction", type=float, default=0.0,
+    "--train-frac": dict(dest="train_fraction", type=float,
                          help="initial corpus fraction committed as training (default 0)"),
     "--baseline-random": dict(dest="baseline", action="store_true",
                               help="score the boundary-count-aware random baseline instead"),
     "--no-permute": dict(action="store_true", help="keep corpus order in every run"),
-    "--sweep-step": dict(type=int, default=100,
-                         help="training-set increment in utterances (default 100)"),
-    "--sweep-cap": dict(type=float, default=0.75,
-                        help="largest training fraction (default 0.75)"),
+    "--sweep-step": dict(type=int, help="training-set increment in utterances (default 100)"),
+    "--sweep-cap": dict(type=float, help="largest training fraction (default 0.75)"),
 }
 
 _MODEL = ("--order", "--phoneme-mode", "--require-vowel", "--out")
@@ -633,10 +629,9 @@ def _build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    spec = ExperimentSpec(**{name: value for name, value in vars(args).items()
-                             if value is not None})
     try:
-        spec.validate()
+        spec = ExperimentSpec(**{name: value for name, value in vars(args).items()
+                                 if value is not None})
         return _run_command(spec)
     except (CorpusError, OSError, ValueError) as exc:
         print(f"segdisc: error: {exc}", file=sys.stderr)

@@ -40,10 +40,10 @@ def test_criterion_1_damn_british_threshold():
     started = time.perf_counter()
     report = run_damn_british(ExperimentSpec(command="scenario-damn-british", order=1))
     elapsed = time.perf_counter() - started
-    assert report.first_split == 7
-    assert abs(report.whole_neglog - 2.56495) < 1e-4
-    assert abs(report.parts_neglog - (1.8718 + 0.619039)) < 1e-4
-    assert abs(report.parts_neglog - 2.49084) < 1e-4
+    assert report.first.isolated_count == 7
+    assert abs(report.first.whole_neglog - 2.56495) < 1e-4
+    assert abs(report.first.parts_neglog - (1.8718 + 0.619039)) < 1e-4
+    assert abs(report.first.parts_neglog - 2.49084) < 1e-4
     for outcome in report.outcomes:
         assert outcome.split == (outcome.isolated_count >= 7)
     assert elapsed < 1.0

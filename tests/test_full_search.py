@@ -76,14 +76,22 @@ def test_long_lines_match_the_full_search(order, mode, require_vowel, mixed_line
         assert_same_as_full_search(tables, u, cfg)
 
 
-@pytest.mark.parametrize("order", [1, 2, 3])
-def test_line_equal_to_a_lexicon_word_matches_the_full_search(order):
-    # the line is one word committed once, so the last column's novel scan
-    # starts from that word read whole at every order
-    u = "".join(random.Random(2000).choices(default_inventory().symbols, k=300))
+@pytest.mark.parametrize("order, shape", [
+    pytest.param(order, shape, id=str(order) if shape == "w" else f"{order}-{shape}")
+    for shape in ("w", "w w", "w tail") for order in (1, 2, 3)])
+def test_line_equal_to_a_lexicon_word_matches_the_full_search(order, shape):
+    # w is one word committed once.  Read alone, the last column's novel
+    # scan starts from w read whole at every order; followed by w or by 10
+    # random phonemes, every split of w ties in real arithmetic.  w alone
+    # takes the bare order as its id, so its test ids stay stable
+    symbols = default_inventory().symbols
+    w = "".join(random.Random(2000).choices(symbols, k=300))
+    tail = "".join(random.Random(10).choices(symbols, k=10))
+    words = {"w": (w,), "w w": (w, w), "w tail": (w, tail)}[shape]
     tables = CountTables()
-    tables.commit([u])
-    assert assert_same_as_full_search(tables, u, LearnerConfig(order=order)).words == (u,)
+    tables.commit([w])
+    seg = assert_same_as_full_search(tables, "".join(words), LearnerConfig(order=order))
+    assert seg.words == words
 
 
 # Found by a random search over small lexicons.  In each, the best reading

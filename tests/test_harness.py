@@ -33,7 +33,7 @@ def test_damn_british_same_for_every_order():
     # tables, so the higher orders back off to the same unigram decision
     for order in (1, 2, 3):
         report = run_damn_british(spec_for("scenario-damn-british", order=order))
-        assert report.first_split == 7
+        assert report.first.isolated_count == 7
 
 
 def test_damn_british_threshold_in_exact_arithmetic():
@@ -61,9 +61,9 @@ def test_fully_trained_fixture_round_trip(sample_path):
     for order in (1, 2, 3):
         report = run_fully_trained(spec_for("fully-trained", sample_path, order=order))
         assert report.mismatches == ()
-        assert report.precision == 100.0
-        assert report.recall == 100.0
-        assert report.utterances == 20
+        assert report.block.precision == 100.0
+        assert report.block.recall == 100.0
+        assert report.block.utterances == 20
 
 
 def test_learner_beats_known_count_baseline(tmp_path):
@@ -267,20 +267,20 @@ def test_fit_sqrt_coefficient_recovers_k():
 def test_phoneme_mode_matrix_shape(sample_path):
     cells = run_phoneme_mode_matrix(spec_for("phoneme-modes", sample_path))
     assert len(cells) == 9
-    assert {(c.order, c.phoneme_mode) for c in cells} == {
+    assert {(cfg.order, cfg.phoneme_mode.value) for cfg, _ in cells} == {
         (order, mode) for order in (1, 2, 3)
         for mode in ("uniform", "lexicon", "speech")}
-    for cell in cells:
-        assert 0.0 <= cell.precision <= 100.0
-        assert 0.0 <= cell.recall <= 100.0
-        assert 0.0 <= cell.lexicon_precision <= 100.0
+    for _, block in cells:
+        assert 0.0 <= block.precision <= 100.0
+        assert 0.0 <= block.recall <= 100.0
+        assert 0.0 <= block.lexicon_precision <= 100.0
 
 
 def test_phoneme_mode_cell_is_eval_at_its_order_and_mode(sample_path):
-    for cell in run_phoneme_mode_matrix(spec_for("phoneme-modes", sample_path,
-                                                 lexicon_seen_only=True)):
+    for cfg, cell in run_phoneme_mode_matrix(spec_for("phoneme-modes", sample_path,
+                                                      lexicon_seen_only=True)):
         (_, (block,)), = run_eval(spec_for(
-            "eval", sample_path, order=cell.order, phoneme_mode=cell.phoneme_mode,
+            "eval", sample_path, order=cfg.order, phoneme_mode=cfg.phoneme_mode,
             block_size=10 ** 9, lexicon_seen_only=True)).per_run
         assert (cell.precision, cell.recall, cell.lexicon_precision) == (
             block.precision, block.recall, block.lexicon_precision)
@@ -389,6 +389,27 @@ def test_cli_invalid_config_exits_1(sample_path, capsys):
     assert main(["train-sweep", "--corpus", str(sample_path), "--sweep-step", "0"]) == 1
     assert main(["train-sweep", "--corpus", str(sample_path), "--sweep-cap", "1.5"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, setting, value, flag, message", [
+    ("permute-average", "runs", 0, "--runs", "runs must be at least 1, got 0"),
+    ("eval", "block_size", 0, "--block-size", "block size must be at least 1, got 0"),
+    ("train-sweep", "sweep_step", 0, "--sweep-step",
+     "sweep step must be at least 1 utterance, got 0"),
+    ("eval", "train_fraction", 1.5, "--train-frac", "train fraction must be in [0, 1], got 1.5"),
+    ("train-sweep", "sweep_cap", -0.5, "--sweep-cap", "sweep cap must be in [0, 1], got -0.5"),
+    ("eval", "phoneme_mode", "bogus", None, "'bogus' is not a valid PhonemeMode"),
+], ids=["runs", "block_size", "sweep_step", "train_fraction", "sweep_cap", "phoneme_mode"])
+def test_spec_rejects_a_bad_setting_when_built(sample_path, capsys, command, setting, value,
+                                               flag, message):
+    # a library spec is checked as the CLI's is, when it is built, with the
+    # message the CLI prints (argparse's choices reject a bogus mode first)
+    with pytest.raises(ValueError) as err:
+        ExperimentSpec(command, corpus_path=str(sample_path), **{setting: value})
+    assert str(err.value) == message
+    if flag:
+        assert main([command, "--corpus", str(sample_path), flag, str(value)]) == 1
+        assert capsys.readouterr().err == f"segdisc: error: {message}\n"
 
 
 def test_cli_eval_with_nothing_left_to_test_exits_1(sample_path, capsys):

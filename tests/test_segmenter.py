@@ -823,15 +823,9 @@ def test_skip_links_keep_novel_lines_linear(order, counting, mixed_line):
             (len(u), counting.subtractions())
 
 
-@pytest.mark.parametrize("order", [1, 2, 3])
-def test_skip_links_jump_past_their_neighbour(order):
-    # a skip link left at t - 1 reads the same starts and spells the same
-    # subtractions, but steps over the starts a jump skips one at a time:
-    # segmenter.py then runs 400-1,900 lines per phoneme on this line
-    # (sys.settrace line events, CPython 3.11), against 70-180 with links
-    # that point to the nearest start with a smaller own key
-    t, _ = trained_on_synthetic308()
-    u = random_line(2000)
+def segmenter_lines(t, u, order):
+    """sys.settrace line events in segmenter.py over one segment call,
+    which must keep u whole."""
     lines = 0
 
     def trace(frame, event, arg):
@@ -850,7 +844,38 @@ def test_skip_links_jump_past_their_neighbour(order):
     finally:
         sys.settrace(previous)
     assert "".join(seg.words) == u
+    return lines
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_skip_links_jump_past_their_neighbour(order):
+    # a skip link left at t - 1 reads the same starts and spells the same
+    # subtractions, but steps over the starts a jump skips one at a time:
+    # segmenter.py then runs 400-1,900 lines per phoneme on this line
+    # (sys.settrace line events, CPython 3.11), against 70-180 with links
+    # that point to the nearest start with a smaller own key
+    t, _ = trained_on_synthetic308()
+    u = random_line(2000)
+    lines = segmenter_lines(t, u, order)
     assert lines <= 240 * len(u), lines / len(u)
+
+
+@pytest.mark.parametrize("order, ceiling", [(1, 50), (2, 50), (3, 54)])
+def test_key_stop_ends_a_chain_of_losing_starts(order, ceiling):
+    # "SZ" 600 times, SZ committed once: scans meet chains of skip links
+    # whose starts all lose, and the key stop ends each where the jumps
+    # would follow it down to start 0.  segmenter.py runs 35.5, 35.4 and
+    # 42.0 lines per phoneme here (sys.settrace line events, CPython 3.11);
+    # with one search's stop deleted, 40.5 at order 1, 888.9 at order 2
+    # and 66.1 at order 3.  The ceilings leave 41%, 41% and 29% for line
+    # events that differ between CPython versions, so order 1's own stop,
+    # worth ~14% on every line tried, and the walk's, worth nothing on
+    # them, go uncaught
+    t, _ = trained_on_synthetic308()
+    train_utterance(t, ["SZ"], LearnerConfig())
+    u = "SZ" * 600
+    lines = segmenter_lines(t, u, order)
+    assert lines <= ceiling * len(u), lines / len(u)
 
 
 @pytest.mark.parametrize("order, pinned", [(1, 4040), (2, 7542), (3, 7736)])
